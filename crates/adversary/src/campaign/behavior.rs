@@ -5,7 +5,7 @@
 //! behaviour and role (primary vs. echo-set member). Selection is a
 //! pure function of `(slot, i_am_primary)` — the determinism the
 //! pipelined log requires for discard-and-repropose to commit exactly
-//! the sequential log.
+//! the depth-1 log.
 
 use mvbc_broadcast::attacks::{
     EquivocatingSource, FramingAccuser, LyingDiagnosisSource, LyingEcho, SilentEcho, SilentSource,

@@ -4,7 +4,8 @@
 //! engine under the event-driven network simulator and checks every
 //! guarantee the Liang-Vaidya construction owes a model-preserving
 //! environment: per-slot agreement and validity, committed-log prefix
-//! consistency (a pipelined log commits exactly its sequential log),
+//! consistency (a pipelined log commits exactly the log the same engine
+//! commits at depth 1),
 //! honest-isolation safety (Lemma 4) and the global `t(t+2)` dispute
 //! budget. [`CampaignRunner`] streams generated scenarios through it
 //! and [`CampaignReport`] aggregates the results; emitting failing
@@ -251,7 +252,7 @@ pub fn run_scenario(scenario: &Scenario) -> Result<RunOutcome, String> {
     }
 
     // Sequential equivalence: a pipelined log must commit exactly the
-    // log its sequential twin commits.
+    // log the depth-1 run of the same engine commits.
     if scenario.pipeline > 1 {
         let seq_cfg = config_for(&Scenario { pipeline: 1, ..scenario.clone() })?;
         let seq = simulate_smr_traced(
@@ -264,7 +265,7 @@ pub fn run_scenario(scenario: &Scenario) -> Result<RunOutcome, String> {
         if seq.reports[reference].agreed_log() != run.reports[reference].agreed_log() {
             violations.push(Violation::new(
                 "sequential-equivalence",
-                format!("pipeline = {} commits a different log than sequential", scenario.pipeline),
+                format!("pipeline = {} commits a different log than depth 1", scenario.pipeline),
             ));
         }
     }

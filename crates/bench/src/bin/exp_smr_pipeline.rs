@@ -14,7 +14,7 @@
 //! lane executor and stripe-sharded codec kernels exist for.
 //!
 //! Writes `results/BENCH_pipeline.json` and fails loudly unless depth 4
-//! cuts total rounds at least 3x vs sequential with identical digests.
+//! cuts total rounds at least 3x vs depth 1 with identical digests.
 //!
 //! ```sh
 //! cargo run --release -p mvbc-bench --bin exp_smr_pipeline [-- --fast]
@@ -196,7 +196,7 @@ fn main() {
     let w4 = runs.iter().find(|m| m.depth == 4).expect("depth 4 measured");
     let speedup4 = seq.rounds as f64 / w4.rounds as f64;
     println!(
-        "pipelining: depth 4 runs the log in {} rounds vs {} sequential ({speedup4:.2}x) with identical digests",
+        "pipelining: depth 4 runs the log in {} rounds vs {} at depth 1 ({speedup4:.2}x) with identical digests",
         w4.rounds, seq.rounds
     );
 

@@ -312,9 +312,10 @@ fn decode_batch(payload: &[u8]) -> Option<Vec<(usize, bool, Vec<NodeId>)>> {
 /// the paper): same calling convention as
 /// [`run_bsb_batch`](crate::run_bsb_batch), but tolerating any
 /// `config.t < n` under the idealised-signature assumption. The
-/// adversary surface is [`BsbHooks::ds_relay`] (withholding) plus
-/// arbitrary misuse of the node's own [`SignerHandle`]; forging other
-/// processors' signatures is impossible by construction.
+/// adversary surface is [`BsbHooks::ds_relay`](crate::BsbHooks::ds_relay)
+/// (withholding) plus arbitrary misuse of the node's own
+/// [`SignerHandle`]; forging other processors' signatures is impossible
+/// by construction.
 ///
 /// # Panics
 ///

@@ -47,7 +47,8 @@ flags:
   --batch    max commands per slot batch (smr only, default 8)
   --batch-bytes  byte budget per slot batch (smr only, default unbounded)
   --byz      Byzantine replica id (smr only, default n-1)
-  --pipeline number of log slots in flight concurrently (smr only, default 1;
+  --pipeline window of the replicated-log engine: log slots in flight
+             concurrently (smr only, default 1 = slots back to back;
              committed log is identical at every depth)
   --round-timeout-secs  coordinator wedge-detection timeout (smr only,
              default 60; raise for long logs on slow machines)

@@ -660,7 +660,7 @@ fn smr(
     println!("suspects (out of rotation): {:?}; isolated: {:?}", r.suspects, r.isolated);
     if cfg.pipeline > 1 {
         println!(
-            "pipelining: {} slot attempt(s) discarded by dispute-state changes (committed log is identical to a sequential run)",
+            "pipelining: {} slot attempt(s) discarded by dispute-state changes (committed log is identical to the depth-1 run)",
             r.restarts,
         );
     }

@@ -312,37 +312,6 @@ impl Snapshot {
             .sum()
     }
 
-    /// The counters accumulated since `earlier` was taken (per-key
-    /// saturating difference, dropping keys that did not change).
-    ///
-    /// This is how per-slot costs are measured in multi-slot runs (e.g.
-    /// the `mvbc-smr` replicated log): snapshot at each slot boundary and
-    /// diff, instead of calling [`MetricsSink::reset`] mid-run from one
-    /// node while other nodes are still sending.
-    ///
-    /// Note that a node's *own* counters are exact in a mid-run delta
-    /// (its sends are ordered with its snapshots), while other nodes may
-    /// already have recorded sends for the next slot.
-    pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
-        let by_node_tag = self
-            .by_node_tag
-            .iter()
-            .filter_map(|(key, c)| {
-                let e = earlier.by_node_tag.get(key).copied().unwrap_or_default();
-                let d = Counter {
-                    messages: c.messages.saturating_sub(e.messages),
-                    logical_bits: c.logical_bits.saturating_sub(e.logical_bits),
-                    payload_bytes: c.payload_bytes.saturating_sub(e.payload_bytes),
-                };
-                (d != Counter::default()).then(|| (key.clone(), d))
-            })
-            .collect();
-        Snapshot {
-            by_node_tag,
-            rounds: self.rounds.saturating_sub(earlier.rounds),
-        }
-    }
-
     /// All distinct tags seen, sorted.
     pub fn tags(&self) -> Vec<String> {
         let mut tags: Vec<String> = self
@@ -546,28 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_between_snapshots() {
-        let sink = MetricsSink::new();
-        sink.record_send(0, "a.x", 10, 2);
-        sink.record_round();
-        let earlier = sink.snapshot();
-        sink.record_send(0, "a.x", 5, 1);
-        sink.record_send(1, "b.y", 3, 1);
-        sink.record_round();
-        sink.record_round();
-        let d = sink.snapshot().delta(&earlier);
-        assert_eq!(d.total_messages(), 2);
-        assert_eq!(d.total_logical_bits(), 8);
-        assert_eq!(d.logical_bits_by_node(0), 5);
-        assert_eq!(d.logical_bits_by_node(1), 3);
-        assert_eq!(d.rounds(), 2);
-        // Unchanged keys are dropped, so a no-op delta is empty.
-        assert_eq!(sink.snapshot().delta(&sink.snapshot()), Snapshot::default());
-        // Deltas against a *later* snapshot saturate to zero.
-        assert_eq!(earlier.delta(&sink.snapshot()).total_logical_bits(), 0);
-    }
-
-    #[test]
     fn intern_tag_dedups() {
         let a = intern_tag("x.y.z");
         let b = intern_tag(&format!("x.y.{}", 'z'));
@@ -640,22 +587,25 @@ mod tests {
 
     #[test]
     fn delta_snapshot_round_trips_through_csv() {
-        // The delta path produces snapshots that never went through the
-        // sink's shards — their CSV must round-trip identically.
+        // Repeated sends to one key accumulate into a single CSV row; every
+        // (node, tag) key survives the round trip with its exact counter.
         let sink = MetricsSink::new();
         sink.record_send(0, "s.keep", 10, 2);
         sink.record_send(1, "s.drop", 4, 1);
-        let earlier = sink.snapshot();
         sink.record_send(0, "s.keep", 6, 1);
         sink.record_send(2, "s.new", 3, 1);
-        let delta = sink.snapshot().delta(&earlier);
-        let parsed = parse_csv(&delta.to_csv());
-        // Unchanged keys are dropped from the delta and its CSV alike.
+        let parsed = parse_csv(&sink.snapshot().to_csv());
         assert_eq!(
             parsed.keys().cloned().collect::<Vec<_>>(),
-            vec![(0, "s.keep".to_owned()), (2, "s.new".to_owned())]
+            vec![
+                (0, "s.keep".to_owned()),
+                (1, "s.drop".to_owned()),
+                (2, "s.new".to_owned())
+            ]
         );
-        assert_eq!(parsed[&(0, "s.keep".to_owned())].logical_bits, 6);
+        assert_eq!(parsed[&(0, "s.keep".to_owned())].logical_bits, 16);
+        assert_eq!(parsed[&(0, "s.keep".to_owned())].messages, 2);
+        assert_eq!(parsed[&(1, "s.drop".to_owned())].payload_bytes, 1);
         assert_eq!(parsed[&(2, "s.new".to_owned())].messages, 1);
     }
 
@@ -702,14 +652,13 @@ mod tests {
 
     #[test]
     fn markdown_round_trips_the_delta_path() {
+        // Two sends to one key render as one accumulated markdown row.
         let sink = MetricsSink::new();
         sink.record_send(0, "d.x", 3, 1);
-        let earlier = sink.snapshot();
         sink.record_send(0, "d.x", 5, 2);
-        let delta = sink.snapshot().delta(&earlier);
-        let md = delta.to_markdown();
-        assert!(md.contains("| d.x | 1 | 5 | 2 |"));
-        assert!(md.contains("| **total** | 1 | 5 | — |"));
+        let md = sink.snapshot().to_markdown();
+        assert!(md.contains("| d.x | 2 | 8 | 3 |"));
+        assert!(md.contains("| **total** | 2 | 8 | — |"));
     }
 
     #[test]

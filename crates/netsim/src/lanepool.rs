@@ -13,7 +13,7 @@
 //!
 //! - **Concurrency is never bounded.** A lane blocks inside
 //!   `end_round` until its mux steps it, so every concurrently-live
-//!   lane needs a live thread. [`run`] therefore always finds a thread
+//!   lane needs a live thread. `run` therefore always finds a thread
 //!   for a job — it pops an idle warm worker when one exists and spawns
 //!   a fresh one otherwise. The pool size knob bounds only how many
 //!   *idle* workers are retained for reuse; it can never deadlock a
@@ -23,7 +23,7 @@
 //!   lanes in lane-id order, so committed bytes and trace digests are
 //!   identical for every pool size.
 //! - **Panics stay contained.** A lane panic is caught on the worker,
-//!   shipped through the lane's [`PoolHandle`] exactly like
+//!   shipped through the lane's `PoolHandle` exactly like
 //!   [`std::thread::JoinHandle::join`] would ship it, and the worker
 //!   survives to run later lanes.
 

@@ -276,7 +276,8 @@ pub mod strategy {
     }
 }
 
-/// `any::<T>()` and the [`Arbitrary`] trait backing it.
+/// `any::<T>()` and the [`Arbitrary`](crate::arbitrary::Arbitrary) trait
+/// backing it.
 pub mod arbitrary {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;

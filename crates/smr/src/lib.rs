@@ -17,14 +17,16 @@
 //!   [`run_simulation`](mvbc_netsim::run_simulation) call via the
 //!   re-entrant [`run_broadcast_slot`](mvbc_broadcast::run_broadcast_slot)
 //!   seam — no per-slot setup/teardown, and slot-scoped message tags
-//!   (`smr.slot17.…`) keep adjacent slots' messages from cross-delivering.
-//! - **Concurrent-slot pipelining.** With [`SmrConfig::pipeline`] `= W`,
-//!   up to `W` slots share every synchronous round (each slot runs on its
-//!   own [lane](mvbc_netsim::lanes) of the simulation), dividing total
-//!   rounds by up to `W` while committing the **exact same log** as a
-//!   sequential run — commits stay in slot order, and any commit that
-//!   changes the shared dispute state discards and re-proposes the slots
-//!   in flight (see [`run_replicated_log_pipelined`]).
+//!   (`smr.slot17.a0.…`) keep adjacent slots' messages from
+//!   cross-delivering.
+//! - **One engine, any pipeline depth.** With [`SmrConfig::pipeline`]
+//!   `= W`, up to `W` slots share every synchronous round (each slot runs
+//!   on its own [lane](mvbc_netsim::lanes) of the simulation), dividing
+//!   total rounds by up to `W` while committing the **exact same log** as
+//!   at depth 1, where slots run back to back — commits stay in slot
+//!   order, and any commit that changes the shared dispute state discards
+//!   and re-proposes the slots in flight (see
+//!   [`run_replicated_log_pipelined`]).
 //! - **Dispute memory across slots.** The diagnosis graph persists for
 //!   the life of the log (the paper's "memory across generations" lifted
 //!   to the log level): a primary caught equivocating in slot `s` has
@@ -82,9 +84,8 @@ mod state_machine;
 
 pub use batch::{decode_batch, encode_batch, synthetic_workloads, BatchBuilder, Command};
 pub use log::{
-    run_replicated_log, run_replicated_log_pipelined, simulate_smr, simulate_smr_traced,
-    simulate_smr_with, SmrConfig, SmrConfigError, SmrReport, SmrRun, COMMIT_GAP_TAG,
-    COMMIT_VTIME_TAG,
+    run_replicated_log_pipelined, simulate_smr, simulate_smr_traced, simulate_smr_with, SmrConfig,
+    SmrConfigError, SmrReport, SmrRun, COMMIT_GAP_TAG, COMMIT_VTIME_TAG,
 };
 pub use primary::{plan_for_slot, primary_for_slot, SlotPlan};
 pub use report::{

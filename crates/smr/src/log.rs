@@ -1,12 +1,16 @@
 //! The replicated-log engine: many broadcast slots in one simulation,
-//! sequentially or pipelined through a window of concurrent slots.
+//! pipelined through a window of up to `W` concurrent slots (`W = 1`
+//! runs them back to back).
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use mvbc_broadcast::{broadcast_optimal_d_bits, run_broadcast_slot, BroadcastConfig, BroadcastReport};
-use mvbc_bsb::{BsbDriver, PhaseKingDriver};
+use mvbc_bsb::{
+    BsbConfig, BsbDriver, BsbHooks, BsbInstance, BsbValueSpec, PhaseKingDriver,
+};
 use mvbc_core::DiagGraph;
 use mvbc_metrics::MetricsSink;
 use mvbc_netsim::lanes::{LaneId, LaneMux};
@@ -107,10 +111,10 @@ pub struct SmrConfig {
     /// `round_timeout`.
     pub max_vtime: Option<VirtualTime>,
     /// Pipeline depth `W`: how many slots may be in flight concurrently
-    /// inside the single simulation. `1` (the default) runs slots
-    /// back-to-back; larger depths interleave up to `W` broadcast slots
-    /// per synchronous round, dividing total rounds by up to `W` while
-    /// committing the **exact same log** (see
+    /// inside the single simulation. `1` (the default) is the smallest
+    /// window: slots run back to back. Larger depths interleave up to `W`
+    /// broadcast slots per synchronous round, dividing total rounds by up
+    /// to `W` while committing the **exact same log** (see
     /// [`run_replicated_log_pipelined`]).
     pub pipeline: usize,
     /// Codec worker count for stripe-sharded encode/decode kernels
@@ -293,11 +297,11 @@ pub struct SmrReport {
     /// Replicas excluded from primary rotation by the end of the run
     /// (isolated or caught misbehaving as primary).
     pub suspects: Vec<usize>,
-    /// Slot attempts discarded by the pipelined scheduler because a
-    /// commit changed the shared dispute state while they were in flight
-    /// (always `0` for sequential runs). Discards cost extra traffic and
-    /// rounds but never reach the log: every *committed* slot ran against
-    /// exactly the sequential state.
+    /// Slot attempts discarded because a commit changed the shared
+    /// dispute state while they were in flight (always `0` at depth 1,
+    /// where no other attempt is in flight). Discards cost extra traffic
+    /// and rounds but never reach the log: every *committed* slot ran
+    /// against exactly the depth-1 state.
     pub restarts: u64,
 }
 
@@ -306,168 +310,6 @@ impl SmrReport {
     /// identical at every fault-free replica.
     pub fn agreed_log(&self) -> Vec<AgreedSlot<'_>> {
         self.slots.iter().map(SlotReport::agreed).collect()
-    }
-}
-
-/// Runs the replicated log for one replica: the per-node loop of
-/// [`simulate_smr`].
-///
-/// `commands` is this replica's client command stream; it proposes them
-/// in batches on its primary turns. The diagnosis graph and the suspect
-/// set persist across slots — the paper's "memory across generations"
-/// lifted to the log level — so a primary caught equivocating in slot `s`
-/// is excluded from rotation for every slot after `s`, and its slot
-/// commits the agreed fallback (an empty batch) at every fault-free
-/// replica.
-///
-/// The eviction rule is deliberately conservative: the primary is
-/// *caught* whenever its slot's diagnosis removed an edge incident to it,
-/// and a removed edge only proves that *one* of its endpoints is faulty —
-/// so a Byzantine accuser can frame a fault-free primary (forcing its
-/// slot to fall back and evicting it from rotation) at the price of one
-/// of its own `t + 1` disposable edges. The cost is bounded by the log's
-/// global dispute budget: each Byzantine replica's `(t + 1)`-th
-/// accusation isolates it, so `t` colluders frame at most `t²` fault-free
-/// primaries over the whole log. If every active replica nevertheless
-/// ends up suspected, the log enters **degraded mode**
-/// ([`SlotPlan::DegradedEmpty`](crate::SlotPlan::DegradedEmpty)): no
-/// suspect regains proposal rights — in particular a caught equivocator
-/// is never re-elected — and every remaining slot commits the agreed
-/// empty batch at every fault-free replica, deterministically and with no
-/// broadcast at all. A framed fault-free primary re-queues its batch and
-/// proposes it again if the rotation returns to it while non-degraded;
-/// until then those clients' commands stay pending (in degraded mode the
-/// log stays safe and live for empty slots, sacrificing only progress on
-/// client commands).
-pub fn run_replicated_log<S: StateMachine>(
-    ctx: &mut NodeCtx,
-    cfg: &SmrConfig,
-    commands: Vec<Command>,
-    hooks: &mut dyn SmrHooks,
-    bsb: &mut dyn BsbDriver,
-    state: &mut S,
-) -> SmrReport {
-    let me = ctx.id();
-    let mut pending = BatchBuilder::new(cfg.batch_capacity());
-    pending.extend(commands);
-    let mut diag = DiagGraph::new(cfg.n, cfg.t);
-    let mut suspects = vec![false; cfg.n];
-    let mut slots: Vec<SlotReport> = Vec::with_capacity(cfg.slots);
-    let mut last_snap = ctx.metrics().snapshot();
-    let telemetry = ctx.metrics().telemetry();
-    let mut last_commit_vtime = ctx.vtime();
-
-    for slot in 0..cfg.slots as u64 {
-        if diag.is_isolated(me) {
-            // An identified-faulty replica is cut off; fault-free
-            // replicas never land here (Lemma 4).
-            break;
-        }
-        let primary = match plan_for_slot(slot, &diag, &suspects) {
-            SlotPlan::Stall => break,
-            SlotPlan::DegradedEmpty(nominal) => {
-                // Every active replica is suspect: common knowledge, so
-                // every fault-free replica commits the agreed empty batch
-                // locally — no suspect is handed proposal rights.
-                slots.push(SlotReport::degraded(slot, nominal, ctx.vtime()));
-                continue;
-            }
-            SlotPlan::Lead(p) => p,
-        };
-        let bcfg = cfg.broadcast_config(primary);
-        let scope = slot_scope("smr", slot);
-        let span = telemetry.as_ref().map(|t| t.span(me, scope, "propose", ctx.vtime()));
-        let proposal: Option<Vec<u8>> =
-            (me == primary).then(|| encode_batch(&pending.next_batch(), cfg.batch_capacity()));
-        let mut slot_hooks = hooks.slot_hooks(slot, me == primary);
-        if let Some(span) = span {
-            span.finish(ctx.vtime());
-        }
-
-        let pre_trust: Vec<bool> = (0..cfg.n).map(|x| diag.trusts(primary, x)).collect();
-        let report = run_broadcast_slot(
-            ctx,
-            &bcfg,
-            proposal.as_deref(),
-            scope,
-            &mut diag,
-            slot_hooks.as_mut(),
-            bsb,
-        );
-        let span = telemetry.as_ref().map(|t| t.span(me, scope, "commit", ctx.vtime()));
-        let snap = ctx.metrics().snapshot();
-        let delta = snap.delta(&last_snap);
-        last_snap = snap;
-
-        // The primary is *caught* when this slot's diagnosis implicated
-        // it: it was isolated outright, it could not sustain an echo set,
-        // or it lost a dispute edge to a replica that was *not itself*
-        // identified as faulty (an edge removed by isolating a proven
-        // liar says nothing about the primary, so it does not count).
-        // All inputs are common knowledge, so every fault-free replica
-        // reaches the same verdict, commits the same fallback, and drops
-        // the primary from rotation together.
-        let caught = report.defaulted
-            || diag.is_isolated(primary)
-            || (0..cfg.n).any(|x| {
-                pre_trust[x] && !diag.trusts(primary, x) && !diag.is_isolated(x)
-            });
-        if caught {
-            suspects[primary] = true;
-        }
-        let committed = if caught { Vec::new() } else { decode_batch(&report.output) };
-        if caught && me == primary {
-            if let Some(bytes) = &proposal {
-                pending.requeue(decode_batch(bytes));
-            }
-        }
-        state.apply_batch(&committed);
-        if let Some(span) = span {
-            span.finish(ctx.vtime());
-        }
-        if let Some(tel) = &telemetry {
-            tel.record_value(me, COMMIT_VTIME_TAG, ctx.vtime());
-            tel.record_value(me, COMMIT_GAP_TAG, ctx.vtime() - last_commit_vtime);
-        }
-        last_commit_vtime = ctx.vtime();
-        slots.push(SlotReport {
-            slot,
-            primary,
-            committed,
-            fallback: caught,
-            diagnosis_ran: report.diagnosis_invocations > 0,
-            diagnosis_invocations: report.diagnosis_invocations,
-            bits_sent_by_me: delta.logical_bits_by_node(me),
-            rounds: delta.rounds(),
-            commit_vtime: ctx.vtime(),
-        });
-    }
-
-    finish_report(cfg, slots, &diag, &suspects, 0, state)
-}
-
-/// Assembles the final [`SmrReport`] from the end-of-run state (shared by
-/// the sequential and pipelined engines).
-fn finish_report<S: StateMachine>(
-    cfg: &SmrConfig,
-    slots: Vec<SlotReport>,
-    diag: &DiagGraph,
-    suspects: &[bool],
-    restarts: u64,
-    state: &S,
-) -> SmrReport {
-    let committed_commands = slots.iter().map(|s| s.committed.len() as u64).sum();
-    let fallback_slots = slots.iter().filter(|s| s.fallback).count() as u64;
-    SmrReport {
-        digest: state.digest(),
-        committed_commands,
-        fallback_slots,
-        isolated: (0..cfg.n).filter(|&v| diag.is_isolated(v)).collect(),
-        suspects: (0..cfg.n)
-            .filter(|&v| suspects[v] || diag.is_isolated(v))
-            .collect(),
-        restarts,
-        slots,
     }
 }
 
@@ -491,11 +333,39 @@ struct Flight {
     bits: u64,
 }
 
-/// Runs the replicated log with up to [`SmrConfig::pipeline`] slots in
-/// flight concurrently — the pipelined counterpart of
-/// [`run_replicated_log`], committing the **exact same log**.
+/// Runs the replicated log for one replica, with up to
+/// [`SmrConfig::pipeline`] slots in flight concurrently: the per-node
+/// loop of [`simulate_smr`] at every depth.
 ///
-/// # How the pipeline stays sequential-equivalent
+/// `commands` is this replica's client command stream; it proposes them
+/// in batches on its primary turns. The diagnosis graph and the suspect
+/// set persist across slots — the paper's "memory across generations"
+/// lifted to the log level — so a primary caught equivocating in slot `s`
+/// is excluded from rotation for every slot proposed after `s` commits,
+/// and its slot commits the agreed fallback (an empty batch) at every
+/// fault-free replica.
+///
+/// The eviction rule is deliberately conservative: the primary is
+/// *caught* whenever its slot's diagnosis removed an edge incident to it,
+/// and a removed edge only proves that *one* of its endpoints is faulty —
+/// so a Byzantine accuser can frame a fault-free primary (forcing its
+/// slot to fall back and evicting it from rotation) at the price of one
+/// of its own `t + 1` disposable edges. The cost is bounded by the log's
+/// global dispute budget: each Byzantine replica's `(t + 1)`-th
+/// accusation isolates it, so `t` colluders frame at most `t²` fault-free
+/// primaries over the whole log. If every active replica nevertheless
+/// ends up suspected, the log enters **degraded mode**
+/// ([`SlotPlan::DegradedEmpty`](crate::SlotPlan::DegradedEmpty)): no
+/// suspect regains proposal rights — in particular a caught equivocator
+/// is never re-elected — and every remaining slot commits the agreed
+/// empty batch at every fault-free replica, deterministically and with no
+/// broadcast at all. A framed fault-free primary re-queues its batch and
+/// proposes it again if the rotation returns to it while non-degraded;
+/// until then those clients' commands stay pending (in degraded mode the
+/// log stays safe and live for empty slots, sacrificing only progress on
+/// client commands).
+///
+/// # How the window stays depth-independent
 ///
 /// Each in-flight slot runs the unmodified [`run_broadcast_slot`] on its
 /// own [`lane`](mvbc_netsim::lanes) against a *clone* of the diagnosis
@@ -512,19 +382,18 @@ struct Flight {
 ///
 /// The invariant this buys: the attempt that *commits* slot `s` was
 /// proposed under exactly the post-slot-`(s-1)` state — the same
-/// primary, the same diagnosis snapshot, the same pending batch as the
-/// sequential engine — so per-slot reports, the committed log, and the
-/// state digest are identical to a `pipeline = 1` run, under any attack
-/// schedule. Fault-free steady state never discards (the graph only
-/// changes when a diagnosis runs), so honest logs pipeline at full
-/// depth, dividing total rounds by up to `W`; attack slots pay discarded
-/// work bounded by the log's global dispute budget. Diagnosis updates
-/// from slot `s` take effect for the first slot *proposed after `s`
-/// commits*, which is exactly the sequential rule.
+/// primary, the same diagnosis snapshot, the same pending batch as at
+/// depth 1, where slots run back to back and nothing is ever discarded —
+/// so per-slot reports, the committed log, and the state digest are
+/// identical at every depth, under any attack schedule. Fault-free
+/// steady state never discards (the graph only changes when a diagnosis
+/// runs), so honest logs pipeline at full depth, dividing total rounds by
+/// up to `W`; attack slots pay discarded work bounded by the log's global
+/// dispute budget.
 ///
-/// `make_driver` supplies one fresh `Broadcast_Single_Bit` driver per
-/// slot attempt (each lane needs its own). [`SmrHooks::slot_hooks`] may
-/// be called more than once per slot (once per attempt) and must be
+/// `make_driver` supplies the `Broadcast_Single_Bit` driver of each slot
+/// attempt (concurrent lanes each need their own). [`SmrHooks::slot_hooks`]
+/// may be called more than once per slot (once per attempt) and must be
 /// deterministic in `(slot, i_am_primary)`.
 pub fn run_replicated_log_pipelined<S: StateMachine>(
     ctx: &mut NodeCtx,
@@ -562,9 +431,8 @@ pub fn run_replicated_log_pipelined<S: StateMachine>(
         // --- Fill the window with proposals under the committed state. ---
         while !stopped && flights.len() < window && next_slot < total {
             if diag.is_isolated(me) {
-                // An identified-faulty replica is cut off (sequential
-                // engine: the per-slot `break`); fault-free replicas
-                // never land here.
+                // An identified-faulty replica is cut off; fault-free
+                // replicas never land here (Lemma 4).
                 stopped = true;
                 break;
             }
@@ -656,8 +524,14 @@ pub fn run_replicated_log_pipelined<S: StateMachine>(
                 continue;
             }
             let (report, new_diag) = flight.outcome.expect("resolved flight has an outcome");
-            // Same caught rule as the sequential engine — all inputs are
-            // common knowledge, so every fault-free replica agrees.
+            // The primary is *caught* when this slot's diagnosis
+            // implicated it: it was isolated outright, it could not
+            // sustain an echo set, or it lost a dispute edge to a replica
+            // that was *not itself* identified as faulty (an edge removed
+            // by isolating a proven liar says nothing about the primary).
+            // All inputs are common knowledge, so every fault-free
+            // replica reaches the same verdict, commits the same
+            // fallback, and drops the primary from rotation together.
             let caught = report.defaulted
                 || new_diag.is_isolated(flight.primary)
                 || (0..n).any(|x| {
@@ -754,7 +628,15 @@ pub fn run_replicated_log_pipelined<S: StateMachine>(
         }
     }
 
-    finish_report(cfg, slots, &diag, &suspects, restarts, state)
+    SmrReport {
+        digest: state.digest(),
+        committed_commands: slots.iter().map(|s| s.committed.len() as u64).sum(),
+        fallback_slots: slots.iter().filter(|s| s.fallback).count() as u64,
+        isolated: (0..n).filter(|&v| diag.is_isolated(v)).collect(),
+        suspects: (0..n).filter(|&v| suspects[v] || diag.is_isolated(v)).collect(),
+        restarts,
+        slots,
+    }
 }
 
 /// Result of a simulated replicated-log run.
@@ -773,8 +655,9 @@ pub struct SmrRun {
 }
 
 /// Runs a whole replicated log — every slot — inside **one** simulation:
-/// one [`run_simulation`] call, replicas looping over slots with
-/// dispute-control state carried across them.
+/// one [`run_simulation_traced`] call, each replica running
+/// [`run_replicated_log_pipelined`] with dispute-control state carried
+/// across slots and a fresh Phase-King driver per slot attempt.
 ///
 /// `workloads[i]` is replica `i`'s client command stream (proposed on its
 /// primary turns); `hooks[i]` its behaviour.
@@ -824,56 +707,16 @@ pub fn simulate_smr_traced(
     metrics: MetricsSink,
     trace: Option<TraceSink>,
 ) -> SmrRun {
-    if cfg.pipeline > 1 {
-        return simulate_smr_pipelined(cfg, workloads, hooks, metrics, trace);
-    }
     let drivers = (0..cfg.n)
-        .map(|_| Box::new(PhaseKingDriver) as Box<dyn BsbDriver>)
+        .map(|_| Box::new(|| Box::new(PhaseKingDriver) as Box<dyn BsbDriver>) as DriverFactory)
         .collect();
-    simulate_smr_with_traced(cfg, workloads, hooks, drivers, metrics, trace)
-}
-
-/// The pipelined body of [`simulate_smr`]: every replica schedules up to
-/// [`SmrConfig::pipeline`] slots concurrently via
-/// [`run_replicated_log_pipelined`], with a fresh Phase-King driver per
-/// slot attempt.
-fn simulate_smr_pipelined(
-    cfg: &SmrConfig,
-    workloads: Vec<Vec<Command>>,
-    hooks: Vec<Box<dyn SmrHooks>>,
-    metrics: MetricsSink,
-    trace: Option<TraceSink>,
-) -> SmrRun {
-    assert_eq!(workloads.len(), cfg.n, "one command stream per replica");
-    assert_eq!(hooks.len(), cfg.n, "one hooks object per replica");
-
-    let logics: Vec<NodeLogic<(SmrReport, KvStore)>> = workloads
-        .into_iter()
-        .zip(hooks)
-        .map(|(commands, mut hook)| {
-            let cfg = cfg.clone();
-            Box::new(move |ctx: &mut NodeCtx| {
-                let mut store = KvStore::default();
-                let mut make_driver =
-                    || Box::new(PhaseKingDriver) as Box<dyn BsbDriver>;
-                let report = run_replicated_log_pipelined(
-                    ctx,
-                    &cfg,
-                    commands,
-                    hook.as_mut(),
-                    &mut make_driver,
-                    &mut store,
-                );
-                (report, store)
-            }) as NodeLogic<(SmrReport, KvStore)>
-        })
-        .collect();
-    run_smr_simulation(cfg, logics, metrics, trace)
+    run_smr_simulation(cfg, workloads, hooks, drivers, metrics, trace)
 }
 
 /// As [`simulate_smr`] with one explicit `Broadcast_Single_Bit` driver
-/// per replica (the §4 substitution seam). Sequential only: a pipelined
-/// log needs one driver per *slot attempt*, not per replica (use
+/// per replica (the §4 substitution seam). Each replica's driver serves
+/// all of its slot attempts in turn, so this needs depth 1: concurrent
+/// lanes need a driver per slot attempt (use
 /// [`run_replicated_log_pipelined`] with a driver factory).
 ///
 /// # Panics
@@ -887,58 +730,105 @@ pub fn simulate_smr_with(
     drivers: Vec<Box<dyn BsbDriver>>,
     metrics: MetricsSink,
 ) -> SmrRun {
-    simulate_smr_with_traced(cfg, workloads, hooks, drivers, metrics, None)
+    assert_eq!(drivers.len(), cfg.n, "one BSB driver per replica");
+    assert!(
+        cfg.pipeline <= 1,
+        "simulate_smr_with shares one driver across a replica's slots; \
+         pipelined runs need a driver per slot attempt"
+    );
+    let drivers = drivers
+        .into_iter()
+        .map(|driver| {
+            let shared = Arc::new(Mutex::new(driver));
+            Box::new(move || Box::new(SharedDriver(Arc::clone(&shared))) as Box<dyn BsbDriver>)
+                as DriverFactory
+        })
+        .collect();
+    run_smr_simulation(cfg, workloads, hooks, drivers, metrics, None)
 }
 
-/// Traced body of [`simulate_smr_with`].
-fn simulate_smr_with_traced(
+/// One replica's source of per-slot-attempt `Broadcast_Single_Bit`
+/// drivers.
+type DriverFactory = Box<dyn FnMut() -> Box<dyn BsbDriver> + Send>;
+
+/// A forwarding handle to one replica's driver: the slot attempts of a
+/// depth-1 log each take a handle and run one after another, so the
+/// lock is never contended.
+struct SharedDriver(Arc<Mutex<Box<dyn BsbDriver>>>);
+
+impl SharedDriver {
+    fn driver(&self) -> MutexGuard<'_, Box<dyn BsbDriver>> {
+        self.0
+            .lock()
+            .expect("an earlier slot attempt panicked inside this replica's BSB driver")
+    }
+}
+
+impl BsbDriver for SharedDriver {
+    fn name(&self) -> &'static str {
+        self.driver().name()
+    }
+
+    fn max_tolerated(&self, n: usize) -> usize {
+        self.driver().max_tolerated(n)
+    }
+
+    fn run_batch(
+        &mut self,
+        ctx: &mut NodeCtx,
+        config: &BsbConfig,
+        instances: &[BsbInstance],
+        hooks: &mut dyn BsbHooks,
+    ) -> Vec<bool> {
+        self.driver().run_batch(ctx, config, instances, hooks)
+    }
+
+    fn run_values(
+        &mut self,
+        ctx: &mut NodeCtx,
+        config: &BsbConfig,
+        specs: &[BsbValueSpec],
+        hooks: &mut dyn BsbHooks,
+    ) -> Vec<Vec<bool>> {
+        self.driver().run_values(ctx, config, specs, hooks)
+    }
+}
+
+/// Runs every replica's log in one simulation, translating the log-level
+/// configuration (wall-clock timeout, scheduling policy, virtual-time
+/// budget, perf knobs) onto the simulator.
+fn run_smr_simulation(
     cfg: &SmrConfig,
     workloads: Vec<Vec<Command>>,
     hooks: Vec<Box<dyn SmrHooks>>,
-    drivers: Vec<Box<dyn BsbDriver>>,
+    drivers: Vec<DriverFactory>,
     metrics: MetricsSink,
     trace: Option<TraceSink>,
 ) -> SmrRun {
     assert_eq!(workloads.len(), cfg.n, "one command stream per replica");
     assert_eq!(hooks.len(), cfg.n, "one hooks object per replica");
-    assert_eq!(drivers.len(), cfg.n, "one BSB driver per replica");
-    assert!(
-        cfg.pipeline <= 1,
-        "simulate_smr_with is sequential; pipelined runs need a driver per slot attempt"
-    );
 
     let logics: Vec<NodeLogic<(SmrReport, KvStore)>> = workloads
         .into_iter()
         .zip(hooks)
         .zip(drivers)
-        .map(|((commands, mut hook), mut driver)| {
+        .map(|((commands, mut hook), mut make_driver)| {
             let cfg = cfg.clone();
             Box::new(move |ctx: &mut NodeCtx| {
                 let mut store = KvStore::default();
-                let report = run_replicated_log(
+                let report = run_replicated_log_pipelined(
                     ctx,
                     &cfg,
                     commands,
                     hook.as_mut(),
-                    driver.as_mut(),
+                    &mut make_driver,
                     &mut store,
                 );
                 (report, store)
             }) as NodeLogic<(SmrReport, KvStore)>
         })
         .collect();
-    run_smr_simulation(cfg, logics, metrics, trace)
-}
 
-/// Shared simulation tail of the sequential and pipelined runners:
-/// translates the log-level configuration (wall-clock timeout,
-/// scheduling policy, virtual-time budget) onto the simulator.
-fn run_smr_simulation(
-    cfg: &SmrConfig,
-    logics: Vec<NodeLogic<(SmrReport, KvStore)>>,
-    metrics: MetricsSink,
-    trace: Option<TraceSink>,
-) -> SmrRun {
     // Perf knobs are process-wide; apply them only when the config pins
     // an explicit value so untouched configs inherit the CLI/machine
     // defaults. Both are pure wall-clock knobs (pool-size-invariance is
@@ -1098,7 +988,7 @@ mod tests {
             assert_eq!(run.stores, seq.stores);
             assert!(
                 run.rounds < seq.rounds,
-                "W = {w}: {} rounds not below sequential {}",
+                "W = {w}: {} rounds not below depth 1 ({})",
                 run.rounds,
                 seq.rounds
             );
@@ -1132,6 +1022,29 @@ mod tests {
             // The equivocation commit wiped the in-flight window once.
             assert!(run.reports[h].restarts > 0, "expected discarded attempts");
         }
+    }
+
+    #[test]
+    fn explicit_drivers_serve_every_slot_at_depth_1() {
+        use mvbc_bsb::EigDriver;
+        let n = 4;
+        let cfg = SmrConfig::new(n, 1, 6, 2).unwrap();
+        let honest = || (0..n).map(|_| HonestReplica::boxed()).collect();
+        let eig = || (0..n).map(|_| Box::new(EigDriver) as Box<dyn BsbDriver>).collect();
+        let king = simulate_smr(&cfg, workloads(n, 3), honest(), MetricsSink::new());
+        let run = simulate_smr_with(&cfg, workloads(n, 3), honest(), eig(), MetricsSink::new());
+        for (a, b) in run.reports.iter().zip(&king.reports) {
+            assert_eq!(a.digest, b.digest);
+            assert_eq!(a.committed_commands, b.committed_commands);
+        }
+        // EIG agrees in fewer rounds than Phase-King, so every slot ran
+        // on the supplied driver.
+        assert!(run.rounds < king.rounds, "{} vs {}", run.rounds, king.rounds);
+        let piped = cfg.with_pipeline(2);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            simulate_smr_with(&piped, workloads(n, 3), honest(), eig(), MetricsSink::new())
+        }));
+        assert!(result.is_err(), "one driver per replica cannot serve concurrent lanes");
     }
 
     #[test]

@@ -30,8 +30,9 @@ pub struct SlotReport {
     /// field over all slots is bounded by the paper's global dispute
     /// budget `t(t+2)` — campaign checkers assert exactly that.
     pub diagnosis_invocations: u64,
-    /// Logical bits *this* replica sent during the slot (exact per-slot
-    /// delta; see [`mvbc_metrics::Snapshot::delta`]).
+    /// Logical bits *this* replica sent during the slot's committing
+    /// attempt (exact, counted on the slot's
+    /// [lane](mvbc_netsim::lanes::LaneMux)).
     pub bits_sent_by_me: u64,
     /// Synchronous rounds the slot consumed.
     pub rounds: u64,
@@ -40,8 +41,8 @@ pub struct SlotReport {
     /// counter under the round-barrier policy, the latency-model tick
     /// under the event-driven policy. A local measurement — like
     /// `bits_sent_by_me`, it is excluded from [`AgreedSlot`], and it
-    /// depends on the scheduling (a pipelined run commits later slots at
-    /// earlier clocks than a sequential one).
+    /// depends on the scheduling (a deeper pipeline commits later slots at
+    /// earlier clocks than depth 1).
     pub commit_vtime: VirtualTime,
 }
 
@@ -70,11 +71,10 @@ impl SlotReport {
     /// replica suspect; see
     /// [`SlotPlan::DegradedEmpty`](crate::SlotPlan::DegradedEmpty)): no
     /// broadcast runs, nothing commits, `nominal` is the rotation pick
-    /// recorded for reporting only. Shared by the sequential and
-    /// pipelined engines so their degraded slots are identical by
-    /// construction. `commit_vtime` is the committing replica's clock
-    /// when it resolved the slot (degraded slots consume no rounds, so
-    /// it is simply the clock carried over from the previous slot).
+    /// recorded for reporting only. `commit_vtime` is the committing
+    /// replica's clock when it resolved the slot (degraded slots consume
+    /// no rounds, so it is simply the clock carried over from the
+    /// previous slot).
     pub fn degraded(slot: u64, nominal: NodeId, commit_vtime: VirtualTime) -> Self {
         SlotReport {
             slot,
@@ -111,13 +111,13 @@ pub trait SmrHooks: Send {
     /// Called at the start of every slot *attempt*; returns the broadcast
     /// hooks the replica uses for that attempt's broadcast execution.
     ///
-    /// Under a pipelined log
-    /// ([`run_replicated_log_pipelined`](crate::run_replicated_log_pipelined))
+    /// Under a pipelined log (depth above 1; see
+    /// [`run_replicated_log_pipelined`](crate::run_replicated_log_pipelined))
     /// a slot may be attempted more than once — an attempt in flight when
     /// a commit changes the dispute state is discarded and the slot
     /// re-proposed — so this method can be called several times for one
-    /// `slot` and must be deterministic in `(slot, i_am_primary)` for the
-    /// pipelined log to commit exactly the sequential log.
+    /// `slot` and must be deterministic in `(slot, i_am_primary)` for
+    /// every pipeline depth to commit exactly the depth-1 log.
     fn slot_hooks(&mut self, slot: u64, i_am_primary: bool) -> Box<dyn BroadcastHooks>;
 }
 

@@ -1,18 +1,20 @@
-//! Pipelined-vs-sequential equivalence of the `mvbc-smr` replicated log,
-//! plus the degraded-mode endgame.
+//! Depth equivalence of the `mvbc-smr` replicated log, plus the
+//! degraded-mode endgame.
 //!
-//! The pipelined scheduler's contract is exact: at any depth `W`, under
-//! any attack schedule, the *committed* log (per-slot primaries, batches,
+//! The one log engine's contract is exact: at any depth `W`, under any
+//! attack schedule, the *committed* log (per-slot primaries, batches,
 //! fallbacks, diagnosis flags, protocol rounds) and the final state
-//! digest are identical to a sequential run — pipelining may only cost
-//! discarded attempts, never change what commits.
+//! digest are identical to the depth-1 run of the same engine, where
+//! slots run back to back — pipelining may only cost discarded attempts,
+//! never change what commits. The depth-1 runs themselves are pinned to
+//! golden values captured from the former dedicated sequential engine.
 
 use mvbc_broadcast::attacks::{EquivocatingSource, FramingAccuser};
 use mvbc_broadcast::{BroadcastHooks, NoopBroadcastHooks};
 use mvbc_metrics::MetricsSink;
 use mvbc_smr::{
     simulate_smr, synthetic_workloads, EquivocatingPrimary, HonestReplica, SilentPrimary,
-    SmrConfig, SmrHooks, SmrRun,
+    SmrConfig, SmrHooks, SmrReport, SmrRun,
 };
 
 /// Asserts the fault-free replicas of both runs committed the same log,
@@ -252,4 +254,182 @@ fn degraded_mode_pipelines_equivalently() {
     let (seq, honest) = degraded_scenario(1);
     let (pipe, _) = degraded_scenario(3);
     assert_equivalent(&seq, &pipe, &honest, "degraded endgame");
+}
+
+// --- Golden values of the depth-1 log ------------------------------------
+
+/// FNV-1a over every field of an agreed log (slot, primary, committed
+/// commands, fallback and diagnosis flags, rounds), so a pin catches any
+/// change to what commits or when.
+fn agreed_log_hash(report: &SmrReport) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for s in report.agreed_log() {
+        eat(s.slot);
+        eat(s.primary as u64);
+        eat(s.committed.len() as u64);
+        for c in s.committed {
+            eat(u64::from(c.key) << 32 | u64::from(c.value));
+        }
+        eat(u64::from(s.fallback) << 1 | u64::from(s.diagnosis_ran));
+        eat(s.rounds);
+    }
+    h
+}
+
+/// One schedule's pinned outcome, shared by every fault-free replica.
+struct Golden {
+    label: &'static str,
+    digest: u64,
+    fallback_slots: u64,
+    suspects: &'static [usize],
+    rounds: u64,
+    log_hash: u64,
+}
+
+fn check_golden(run: &SmrRun, honest: &[usize], g: &Golden) {
+    assert_eq!(run.rounds, g.rounds, "{}: total rounds", g.label);
+    for &h in honest {
+        let r = &run.reports[h];
+        assert_eq!(r.digest, g.digest, "{}: replica {h} digest", g.label);
+        assert_eq!(r.fallback_slots, g.fallback_slots, "{}: replica {h} fallbacks", g.label);
+        assert_eq!(r.suspects, g.suspects, "{}: replica {h} suspects", g.label);
+        assert_eq!(agreed_log_hash(r), g.log_hash, "{}: replica {h} agreed log", g.label);
+    }
+}
+
+/// The hooks of `seeded_attack_schedules_commit_identical_logs_at_depths_1_2_4`
+/// for one seed: kind 0 always equivocates, kind 1 is a silent leader,
+/// kind 2 a sleeper that equivocates on its second primary turn.
+fn seeded_schedule_hooks(n: usize, seed: u64) -> Vec<Box<dyn SmrHooks>> {
+    let byz = (seed % n as u64) as usize;
+    (0..n)
+        .map(|i| -> Box<dyn SmrHooks> {
+            if i != byz {
+                return HonestReplica::boxed();
+            }
+            match seed % 3 {
+                0 => Box::new(EquivocatingPrimary::default()),
+                1 => Box::new(SilentPrimary),
+                _ => Box::new(EquivocatingPrimary {
+                    on_slots: Some(vec![byz as u64 + n as u64]),
+                }),
+            }
+        })
+        .collect()
+}
+
+/// Golden values of the attack schedules above at depth 1, captured from
+/// the former dedicated sequential engine before it was deleted. Depth 1
+/// is now the smallest window of the one pipelined engine, so these pins
+/// are what keep the depth-1 reference of the equivalence tests honest.
+#[test]
+fn depth_1_logs_match_the_pinned_sequential_engine() {
+    const SEEDED: [Golden; 6] = [
+        Golden {
+            label: "seed 0 (equivocator)",
+            digest: 0x5c75_81b6_b4e4_ce87,
+            fallback_slots: 1,
+            suspects: &[0],
+            rounds: 354,
+            log_hash: 0x4092_c51d_72ce_3bb5,
+        },
+        Golden {
+            label: "seed 1 (silent)",
+            digest: 0xc587_cde3_62ed_1917,
+            fallback_slots: 1,
+            suspects: &[1],
+            rounds: 354,
+            log_hash: 0xb3fc_198e_f711_8489,
+        },
+        Golden {
+            label: "seed 2 (sleeper)",
+            digest: 0x5b9f_12b7_9a69_c746,
+            fallback_slots: 1,
+            suspects: &[2],
+            rounds: 354,
+            log_hash: 0xf3ce_9959_bde7_5b7f,
+        },
+        Golden {
+            label: "seed 3 (equivocator)",
+            digest: 0x2cee_33f7_7777_92a0,
+            fallback_slots: 1,
+            suspects: &[3],
+            rounds: 381,
+            log_hash: 0x1dae_3d21_99f3_513b,
+        },
+        Golden {
+            label: "seed 4 (silent)",
+            digest: 0x7ff9_5ec4_3088_1bba,
+            fallback_slots: 1,
+            suspects: &[0],
+            rounds: 354,
+            log_hash: 0xf4ab_58be_121d_4266,
+        },
+        Golden {
+            label: "seed 5 (sleeper)",
+            digest: 0x7124_fce1_b098_d42c,
+            fallback_slots: 1,
+            suspects: &[1],
+            rounds: 381,
+            log_hash: 0xdc13_afcf_38ae_09e5,
+        },
+    ];
+    let n = 4usize;
+    for (seed, golden) in (0..6u64).zip(&SEEDED) {
+        let cfg = SmrConfig::new(n, 1, 10, 2).unwrap();
+        let run = simulate_smr(
+            &cfg,
+            synthetic_workloads(n, 6, seed + 1),
+            seeded_schedule_hooks(n, seed),
+            MetricsSink::new(),
+        );
+        let byz = (seed % n as u64) as usize;
+        let honest: Vec<usize> = (0..n).filter(|&i| i != byz).collect();
+        check_golden(&run, &honest, golden);
+    }
+
+    let n = 7usize;
+    let hooks = (0..n)
+        .map(|i| -> Box<dyn SmrHooks> {
+            match i {
+                1 => Box::new(EquivocatingPrimary::default()),
+                4 => Box::new(SilentPrimary),
+                _ => HonestReplica::boxed(),
+            }
+        })
+        .collect();
+    let cfg = SmrConfig::new(n, 2, 10, 2).unwrap();
+    let run = simulate_smr(&cfg, synthetic_workloads(n, 4, 9), hooks, MetricsSink::new());
+    let honest: Vec<usize> = (0..n).filter(|&i| i != 1 && i != 4).collect();
+    check_golden(
+        &run,
+        &honest,
+        &Golden {
+            label: "two byzantine",
+            digest: 0x731a_c95b_4715_4e18,
+            fallback_slots: 2,
+            suspects: &[1, 4],
+            rounds: 504,
+            log_hash: 0x7bba_122f_c868_70a9,
+        },
+    );
+
+    let (run, honest) = degraded_scenario(1);
+    check_golden(
+        &run,
+        &honest,
+        &Golden {
+            label: "degraded endgame",
+            digest: 0xb7f1_9c39_5e87_9f3e,
+            fallback_slots: 12,
+            suspects: &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+            rounds: 966,
+            log_hash: 0x0af0_98bf_3a76_5aa0,
+        },
+    );
 }
