@@ -119,7 +119,7 @@ fn run_big(slots: usize) -> BigMeasured {
         .with_pipeline(BIG_DEPTH)
         .with_lanes_pool(lanes_pool);
     // 64 replicas on few cores take far longer per round than the
-    // coordinator's default wedge-detection window expects.
+    // simulator's default wedge-detection window expects.
     cfg.round_timeout = Some(std::time::Duration::from_secs(600));
     let workloads = synthetic_workloads(BIG_N, slots.div_ceil(BIG_N) * BATCH, SEED);
     let hooks: Vec<Box<dyn SmrHooks>> = (0..BIG_N).map(|_| HonestReplica::boxed()).collect();

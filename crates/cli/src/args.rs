@@ -50,8 +50,9 @@ flags:
   --pipeline window of the replicated-log engine: log slots in flight
              concurrently (smr only, default 1 = slots back to back;
              committed log is identical at every depth)
-  --round-timeout-secs  coordinator wedge-detection timeout (smr only,
-             default 60; raise for long logs on slow machines)
+  --round-timeout-secs  wedge-detection timeout: how long a parked node
+             waits with no node arriving at the round barrier (smr
+             only, default 60; raise for long logs on slow machines)
   --codec-threads  worker threads for stripe-sharded codec kernels (smr
              only, default: available parallelism; committed bytes are
              identical at every count, 1 is fully serial)
@@ -360,7 +361,8 @@ pub enum Command {
         /// Lane-pool size: idle lane workers kept warm (`None` =
         /// machine default).
         lanes_pool: Option<usize>,
-        /// Coordinator wedge-detection timeout in seconds.
+        /// Wedge-detection timeout in seconds (how long a parked node
+        /// waits with no arrival at the round barrier).
         round_timeout_secs: Option<u64>,
         /// Event-driven network flags (latency model, topology,
         /// partitions, jitter seed, virtual-time budget).

@@ -19,7 +19,7 @@
 //!   (deterministic, seeded) and wall clock (machine-dependent).
 //! - Link stats — per-`(from, to)` messages/bytes/cumulative delay,
 //!   partition outage windows, and the delivery-queue high-water mark,
-//!   fed by the event-driven scheduler's coordinator.
+//!   fed by the event-driven scheduler's round routing.
 //!
 //! # Examples
 //!
@@ -347,12 +347,13 @@ impl Default for TelemetryInner {
 }
 
 /// Shared telemetry recorder. Cheap to clone (an `Arc` handle); all node
-/// threads and the coordinator share one per instrumented run.
+/// threads share one per instrumented run.
 ///
 /// Histograms and spans are sharded by node exactly like the counter
 /// sink, so recording never contends across nodes; link stats, outages
-/// and the queue high-water mark are coordinator-only and sit behind one
-/// uncontended lock.
+/// and the queue high-water mark are written only by round routing,
+/// which runs for one round at a time, and sit behind one uncontended
+/// lock.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     inner: Arc<TelemetryInner>,
@@ -408,7 +409,7 @@ impl Telemetry {
     }
 
     /// Records one delivered message on the `from → to` link with its
-    /// delivery delay in ticks. Coordinator-only.
+    /// delivery delay in ticks. Called only by round routing.
     pub fn record_link(&self, from: NodeId, to: NodeId, payload_bytes: u64, delay: u64) {
         let mut links = self.inner.links.lock();
         let stat = links.entry((from, to)).or_default();
@@ -479,7 +480,7 @@ impl Telemetry {
             (a.vstart, a.node, &a.scope, &a.phase, a.vend)
                 .cmp(&(b.vstart, b.node, &b.scope, &b.phase, b.vend))
         });
-        // Explicitly re-key the coordinator's hash map into a BTreeMap so
+        // Explicitly re-key the routing-side hash map into a BTreeMap so
         // everything downstream (RunReport JSON, inspect tables) iterates
         // in (from, to) order.
         let mut links: BTreeMap<(NodeId, NodeId), LinkStat> = BTreeMap::new();

@@ -1,8 +1,8 @@
 //! Worker-thread pool for lane execution.
 //!
 //! [`LaneMux::spawn`](crate::lanes::LaneMux::spawn) runs each lane as a
-//! blocking closure over its own channel pair, which historically meant
-//! one fresh OS thread per lane. Pipelined workloads spawn and retire
+//! blocking closure over its own pair of one-slot handoffs to the mux,
+//! which historically meant one fresh OS thread per lane. Pipelined workloads spawn and retire
 //! lanes constantly (the `mvbc-smr` replicated log opens one lane per
 //! broadcast slot), so at n >= 64 a run churns through thousands of
 //! short-lived threads. The pool here keeps finished lane workers warm
@@ -18,7 +18,7 @@
 //!   a fresh one otherwise. The pool size knob bounds only how many
 //!   *idle* workers are retained for reuse; it can never deadlock a
 //!   pipeline, and it can never change scheduling order: each lane
-//!   still owns its private channel pair, and
+//!   still owns its private pair of handoffs, and
 //!   [`LaneMux::step`](crate::lanes::LaneMux::step) still collects
 //!   lanes in lane-id order, so committed bytes and trace digests are
 //!   identical for every pool size.

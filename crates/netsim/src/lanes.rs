@@ -15,7 +15,10 @@
 //!   lane-local [`NodeCtx`] running on a pooled worker thread (see
 //!   [`crate::lanepool`] — finished lanes' workers are kept warm and
 //!   reused). The closure is unchanged protocol code — re-entrant
-//!   functions like `run_broadcast_slot` run as-is.
+//!   functions like `run_broadcast_slot` run as-is. The lane talks to
+//!   its mux through two one-slot handoffs, one per direction: its
+//!   `end_round` puts its submission on the up hop and waits (spin, then
+//!   park) for its inbox on the down hop.
 //! - [`LaneMux::step`] advances *every* live lane by one round: it
 //!   collects each lane's round submission (or completion), forwards the
 //!   union through the real [`NodeCtx`] in **one** physical
@@ -75,12 +78,12 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use crossbeam::channel::{self, Receiver, Sender};
-
+use crate::handoff::{Handoff, Missed};
 use crate::lanepool::{self, PoolHandle};
-use crate::{CoordMsg, Inbox, InboxPool, NodeCtx};
+use crate::{panic_message, release, Inbox, InboxPool, Link, NodeCtx, Outgoing};
 
 /// Identifier of one spawned lane, unique within its [`LaneMux`].
 pub type LaneId = u64;
@@ -98,10 +101,36 @@ pub struct FinishedLane<O> {
     pub logical_bits: u64,
 }
 
+/// What a lane posts to its mux: one round's messages, or its end.
+enum Up {
+    Submit(Vec<Outgoing>),
+    Finished,
+}
+
+/// A lane's two hops to its mux.
+#[derive(Default)]
+pub(crate) struct LaneLink {
+    /// Lane to mux: a round submission or termination.
+    up: Handoff<Up>,
+    /// Mux to lane: the lane's share of the physical round's inbox.
+    down: Handoff<Inbox>,
+}
+
+impl LaneLink {
+    /// The lane side of `end_round`: submits, then waits for the inbox.
+    pub(crate) fn end_round(&self, outgoing: Vec<Outgoing>) -> Inbox {
+        self.up.put(Up::Submit(outgoing));
+        match self.down.take(None) {
+            Ok(inbox) => inbox,
+            Err(Missed::Failed(why)) => release(&why),
+            Err(Missed::TimedOut) => unreachable!("an untimed wait never times out"),
+        }
+    }
+}
+
 struct Lane<O> {
     scope: String,
-    up: Receiver<CoordMsg>,
-    down: Sender<Inbox>,
+    link: Arc<LaneLink>,
     join: Option<PoolHandle<O>>,
     rounds: u64,
     logical_bits: u64,
@@ -113,7 +142,7 @@ pub struct LaneMux<O> {
     lanes: BTreeMap<LaneId, Lane<O>>,
     next_id: LaneId,
     /// Recycles the per-lane routed inboxes across steps (lane threads
-    /// return shells when they drop them), mirroring the coordinator's
+    /// return shells when they drop them), mirroring the simulation's
     /// own inbox pool.
     pool: Arc<InboxPool>,
 }
@@ -147,9 +176,10 @@ impl<O: Send + 'static> LaneMux<O> {
         self.lanes.len()
     }
 
-    /// True while any lane is live. A caller that stops early must keep
-    /// calling [`LaneMux::step`] until this returns false (draining), or
-    /// the lane threads are left blocked on a dropped channel.
+    /// True while any lane is live. A caller that stops early should keep
+    /// calling [`LaneMux::step`] until this returns false (draining);
+    /// dropping the mux instead makes every live lane panic out of its
+    /// `end_round` (quietly — its worker survives for later lanes).
     pub fn has_lanes(&self) -> bool {
         !self.lanes.is_empty()
     }
@@ -179,8 +209,8 @@ impl<O: Send + 'static> LaneMux<O> {
                 lane.scope
             );
         }
-        let (up_tx, up_rx) = channel::unbounded::<CoordMsg>();
-        let (down_tx, down_rx) = channel::unbounded::<Inbox>();
+        let link = Arc::new(LaneLink::default());
+        let lane_link = link.clone();
         let id = ctx.id();
         let n = ctx.n();
         let round = ctx.round();
@@ -195,13 +225,19 @@ impl<O: Send + 'static> LaneMux<O> {
                 round,
                 vtime,
                 pending: Vec::new(),
-                to_coord: up_tx.clone(),
-                from_coord: down_rx,
+                link: Link::Lane(lane_link.clone()),
                 metrics,
             };
-            let out = logic(&mut lane_ctx);
-            let _ = up_tx.send(CoordMsg::Finished { from: id });
-            out
+            // Always post `Finished`, even on panic: a handoff has no
+            // disconnect signal, so the mux would otherwise wait forever.
+            // The panic itself surfaces when the mux joins the lane. A
+            // lane released by a dropped mux skips the post: nobody reads
+            // it, and its last submission is still in the slot.
+            let out = catch_unwind(AssertUnwindSafe(|| logic(&mut lane_ctx)));
+            if !lane_link.down.is_failed() {
+                lane_link.up.put(Up::Finished);
+            }
+            out.unwrap_or_else(|payload| resume_unwind(payload))
         });
         let lane_id = self.next_id;
         self.next_id += 1;
@@ -209,8 +245,7 @@ impl<O: Send + 'static> LaneMux<O> {
             lane_id,
             Lane {
                 scope,
-                up: up_rx,
-                down: down_tx,
+                link,
                 join: Some(join),
                 rounds: 0,
                 logical_bits: 0,
@@ -241,17 +276,16 @@ impl<O: Send + 'static> LaneMux<O> {
         let mut submitted: Vec<LaneId> = Vec::new();
         let mut done: Vec<LaneId> = Vec::new();
         for (&id, lane) in self.lanes.iter_mut() {
-            // A live lane always either submits a round or finishes; recv
-            // blocks until it does. A closed channel means the lane
-            // panicked before announcing termination — surfaced at join.
-            match lane.up.recv() {
-                Ok(CoordMsg::Submit { outgoing, .. }) => {
+            // A live lane always either submits a round or finishes (a
+            // panicking lane finishes too); wait until it does.
+            match lane.link.up.take(None) {
+                Ok(Up::Submit(outgoing)) => {
                     lane.rounds += 1;
                     lane.logical_bits += outgoing.iter().map(|o| o.logical_bits).sum::<u64>();
                     ctx.pending.extend(outgoing);
                     submitted.push(id);
                 }
-                Ok(CoordMsg::Finished { .. }) | Err(_) => done.push(id),
+                Ok(Up::Finished) | Err(_) => done.push(id),
             }
         }
         if !submitted.is_empty() {
@@ -288,10 +322,7 @@ impl<O: Send + 'static> LaneMux<O> {
                 }
             }
             for (id, sub_inbox) in routed {
-                // A send error means the lane finished right after this
-                // submission without reading the inbox; it will report
-                // Finished at the next step.
-                let _ = self.lanes[&id].down.send(sub_inbox);
+                self.lanes[&id].link.down.put(sub_inbox);
             }
         }
         done.into_iter()
@@ -299,14 +330,7 @@ impl<O: Send + 'static> LaneMux<O> {
                 let mut lane = self.lanes.remove(&id).expect("finished lane is live");
                 let output = match lane.join.take().expect("join handle present").join() {
                     Ok(out) => out,
-                    Err(e) => {
-                        let msg = e
-                            .downcast_ref::<String>()
-                            .map(String::as_str)
-                            .or_else(|| e.downcast_ref::<&str>().copied())
-                            .unwrap_or("<non-string panic>");
-                        panic!("lane {:?} panicked: {msg}", lane.scope);
-                    }
+                    Err(e) => panic!("lane {:?} panicked: {}", lane.scope, panic_message(&*e)),
                 };
                 FinishedLane {
                     id,
@@ -316,6 +340,16 @@ impl<O: Send + 'static> LaneMux<O> {
                 }
             })
             .collect()
+    }
+}
+
+impl<O> Drop for LaneMux<O> {
+    fn drop(&mut self) {
+        // Release lanes still waiting on their inbox hop: a handoff has
+        // no disconnect signal.
+        for lane in self.lanes.values() {
+            lane.link.down.fail("lane multiplexer dropped with the lane still live".into());
+        }
     }
 }
 
@@ -511,6 +545,28 @@ mod tests {
             });
         })];
         let _ = run_simulation(SimConfig::new(1), MetricsSink::new(), logics);
+    }
+
+    #[test]
+    fn dropping_the_mux_releases_a_waiting_lane() {
+        // The lane submits and waits for an inbox that never comes; the
+        // node drops its mux instead of stepping, which must release the
+        // lane rather than leave its worker blocked.
+        let (seen_tx, seen_rx) = crossbeam::channel::unbounded::<String>();
+        let logics: Vec<NodeLogic<()>> = vec![Box::new(move |ctx: &mut NodeCtx| {
+            let mut mux: LaneMux<()> = LaneMux::new();
+            mux.spawn(ctx, "orphan", move |lane| {
+                let caught = catch_unwind(AssertUnwindSafe(|| lane.end_round()));
+                let err = caught.expect_err("released by the dropped mux");
+                let _ = seen_tx.send(panic_message(&*err).to_owned());
+            });
+            drop(mux);
+        })];
+        let _ = run_simulation(SimConfig::new(1), MetricsSink::new(), logics);
+        assert_eq!(
+            seen_rx.recv().expect("the lane was released"),
+            "lane multiplexer dropped with the lane still live"
+        );
     }
 
     #[test]

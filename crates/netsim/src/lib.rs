@@ -14,14 +14,19 @@
 //! Each processor runs on its own OS thread and proceeds in lockstep
 //! rounds: messages sent during round `r` (via [`NodeCtx::send`]) are
 //! delivered to every recipient at the end of round `r` (from
-//! [`NodeCtx::end_round`]). A coordinator thread enforces the round
-//! barrier, routes messages, and feeds the
-//! [`MetricsSink`] that experiments use to
-//! measure communication complexity.
+//! [`NodeCtx::end_round`]). There is no coordinator thread. The nodes
+//! share one round exchange: each `end_round`, and each node's
+//! termination, is an *arrival*, and the arrival that completes a round
+//! routes it in place — in sender-id order, whichever thread that is —
+//! feeds the [`MetricsSink`] that experiments use to measure
+//! communication complexity, and hands every still-running node its
+//! inbox through that node's own one-slot handoff. A waiting node
+//! yield-spins briefly and then parks, so a round costs no channel hop
+//! and wakes only the nodes it delivers to.
 //!
 //! # Scheduling policies
 //!
-//! The coordinator runs one of two [`SchedulingPolicy`]s (configured via
+//! The exchange runs one of two [`SchedulingPolicy`]s (configured via
 //! [`SimConfig::with_policy`]):
 //!
 //! - [`SchedulingPolicy::RoundBarrier`] (the default): the classic
@@ -65,22 +70,25 @@
 
 pub mod bits;
 pub mod events;
+mod handoff;
 pub mod lanepool;
 pub mod lanes;
 pub mod net;
 pub mod trace;
 
+use std::any::Any;
 use std::fmt;
-use std::sync::Arc;
+use std::panic::AssertUnwindSafe;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, Sender};
-use mvbc_metrics::MetricsSink;
+use mvbc_metrics::{MetricsSink, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use events::EventQueue;
+use handoff::{Handoff, Missed};
 
 pub use events::VirtualTime;
 pub use mvbc_metrics::NodeId;
@@ -88,10 +96,10 @@ pub use net::{
     LinkModel, NetModel, Partition, PartitionBehavior, SchedulingPolicy, Topology,
 };
 
-/// Default for [`SimConfig::round_timeout`]: how long the coordinator
-/// waits for a node's round submission before declaring the simulation
-/// wedged. Protocol bugs (mismatched `end_round` counts between nodes)
-/// surface as this panic instead of a silent hang.
+/// Default for [`SimConfig::round_timeout`]: how long a parked node
+/// waits, with no node arriving at the round exchange, before it
+/// declares the simulation wedged. Protocol bugs (mismatched `end_round`
+/// counts between nodes) surface as this panic instead of a silent hang.
 pub const DEFAULT_ROUND_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Simulation parameters.
@@ -102,13 +110,15 @@ pub struct SimConfig {
     /// Abort the run if it exceeds this many rounds (guards against
     /// run-away protocols in tests). `None` disables the check.
     pub max_rounds: Option<u64>,
-    /// How long the coordinator waits for any round submission before
-    /// declaring the simulation wedged. Long multi-slot runs on slow
-    /// machines may need more than [`DEFAULT_ROUND_TIMEOUT`]. This is a
-    /// *wall-clock* guard against protocol bugs; for a *virtual-time*
-    /// budget, see [`SimConfig::max_vtime`].
+    /// How long a parked node waits for its round inbox, with no other
+    /// node arriving at the round exchange meanwhile, before it declares
+    /// the simulation wedged and releases every other waiting node. Long
+    /// multi-slot runs on slow machines may need more than
+    /// [`DEFAULT_ROUND_TIMEOUT`]. This is a *wall-clock* guard against
+    /// protocol bugs; for a *virtual-time* budget, see
+    /// [`SimConfig::max_vtime`].
     pub round_timeout: Duration,
-    /// How the coordinator schedules rounds (see the crate docs).
+    /// How the round exchange schedules rounds (see the crate docs).
     pub policy: SchedulingPolicy,
     /// Abort the run if the virtual clock exceeds this many ticks
     /// (guards event-driven runs the way `max_rounds` guards round
@@ -174,7 +184,7 @@ pub struct Message {
     pub tag: &'static str,
     /// Opaque payload.
     pub payload: Bytes,
-    /// Virtual delivery time, stamped by the coordinator at routing (0
+    /// Virtual delivery time, stamped at routing (0
     /// while the message is still queued on the sender). Under the
     /// round-barrier policy this is the round counter; under the
     /// event-driven policy it is the message's arrival tick.
@@ -185,7 +195,7 @@ pub struct Message {
 /// with capacity retained).
 type InboxShell = Vec<Vec<Message>>;
 
-/// Recycling pool for inbox buffers, shared between the coordinator
+/// Recycling pool for inbox buffers, shared between round routing
 /// (which takes a shell per node per round) and the node-side [`Inbox`]
 /// drops (which return them). Without the pool, routing allocated
 /// `vec![Vec::new(); n]` per node per round; with it, a steady-state
@@ -241,7 +251,7 @@ impl InboxPool {
 /// sender.
 ///
 /// Inboxes delivered by the simulator carry a handle to the
-/// coordinator's buffer pool: dropping the inbox (however the protocol
+/// simulation's buffer pool: dropping the inbox (however the protocol
 /// code is structured) returns its buffers for reuse in a later round.
 #[derive(Debug, Default)]
 pub struct Inbox {
@@ -325,14 +335,12 @@ struct Outgoing {
     logical_bits: u64,
 }
 
-enum CoordMsg {
-    Submit {
-        from: NodeId,
-        outgoing: Vec<Outgoing>,
-    },
-    Finished {
-        from: NodeId,
-    },
+/// Where a [`NodeCtx`] completes its rounds.
+enum Link {
+    /// A simulation node: rounds complete at the run's shared exchange.
+    Node(Arc<Exchange>),
+    /// A lane: rounds go through its [`lanes::LaneMux`].
+    Lane(Arc<lanes::LaneLink>),
 }
 
 /// Handle through which node logic interacts with the network.
@@ -344,8 +352,7 @@ pub struct NodeCtx {
     round: u64,
     vtime: VirtualTime,
     pending: Vec<Outgoing>,
-    to_coord: Sender<CoordMsg>,
-    from_coord: Receiver<Inbox>,
+    link: Link,
     metrics: MetricsSink,
 }
 
@@ -423,20 +430,15 @@ impl NodeCtx {
     ///
     /// # Panics
     ///
-    /// Panics when the coordinator has shut down (another node panicked or
-    /// the round limit was hit).
+    /// Panics, with the root cause's message, when the run has failed:
+    /// another node panicked, a round or virtual-time limit was hit, or
+    /// the run wedged (see [`SimConfig::round_timeout`]).
     pub fn end_round(&mut self) -> Inbox {
         let outgoing = std::mem::take(&mut self.pending);
-        self.to_coord
-            .send(CoordMsg::Submit {
-                from: self.id,
-                outgoing,
-            })
-            .expect("coordinator alive");
-        let inbox = self
-            .from_coord
-            .recv()
-            .expect("coordinator delivers a round inbox");
+        let inbox = match &self.link {
+            Link::Node(exchange) => exchange.submit(self.id, outgoing),
+            Link::Lane(lane) => lane.end_round(outgoing),
+        };
         self.round += 1;
         self.vtime = inbox.vtime;
         inbox
@@ -446,7 +448,7 @@ impl NodeCtx {
 /// The boxed per-node logic closure executed by [`run_simulation`].
 pub type NodeLogic<O> = Box<dyn FnOnce(&mut NodeCtx) -> O + Send>;
 
-/// Coordinator-side state of an event-driven run.
+/// Routing-side state of an event-driven run.
 struct EventState {
     model: NetModel,
     /// Per-node dispatch time of the *next* round: its last round-end
@@ -458,6 +460,327 @@ struct EventState {
     link_last: Vec<Vec<VirtualTime>>,
     /// Seeded jitter stream ([`NetModel::seed`]).
     rng: StdRng,
+}
+
+/// The text of a panic payload (`panic!` produces a `String` or a
+/// `&'static str`).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("<non-string panic>")
+}
+
+/// Unwinds a node or lane that a failed run released. `resume_unwind`
+/// skips the panic hook: the root cause was reported where it happened,
+/// and the run's caller gets it again from [`run_simulation`].
+fn release(why: &str) -> ! {
+    std::panic::resume_unwind(Box::new(why.to_owned()))
+}
+
+/// The state behind the exchange's one lock.
+struct RoundState {
+    /// This round's submissions, by sender id.
+    submissions: Vec<Option<Vec<Outgoing>>>,
+    active: Vec<bool>,
+    active_count: usize,
+    /// Active nodes that have neither submitted nor finished this round.
+    outstanding: usize,
+    /// Arrivals over the whole run. A parked node that finds it
+    /// unchanged after a full [`SimConfig::round_timeout`] declares the
+    /// run wedged.
+    arrivals: u64,
+    rounds: u64,
+    /// The simulation's virtual clock: the latest round-end tick routed
+    /// so far. Under the round-barrier policy it tracks the round
+    /// counter exactly.
+    vtime_now: VirtualTime,
+    event_state: Option<EventState>,
+    /// The run's first failure; every later arrival and wait ends with it.
+    error: Option<Arc<str>>,
+}
+
+/// The round barrier shared by every node of one simulation.
+///
+/// Each `end_round` and each node's termination is an arrival. The
+/// arrival that completes a round routes it on its own thread, under the
+/// lock, and then puts every still-active node's inbox into that node's
+/// handoff.
+struct Exchange {
+    config: SimConfig,
+    metrics: MetricsSink,
+    trace: Option<trace::TraceSink>,
+    telemetry: Option<Telemetry>,
+    pool: Arc<InboxPool>,
+    state: Mutex<RoundState>,
+    /// One inbox handoff per node.
+    inboxes: Vec<Handoff<Inbox>>,
+}
+
+impl Exchange {
+    fn lock(&self) -> MutexGuard<'_, RoundState> {
+        // Routing runs under `catch_unwind` and every other update is a
+        // single step, so the state is valid even if a holder panicked.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Node `id`'s `end_round`: submits its messages and waits for its
+    /// inbox.
+    fn submit(&self, id: NodeId, outgoing: Vec<Outgoing>) -> Inbox {
+        let mut state = self.lock();
+        if let Some(why) = state.error.clone() {
+            drop(state);
+            release(&why);
+        }
+        state.submissions[id] = Some(outgoing);
+        let mut seen = self.arrive(state);
+        loop {
+            match self.inboxes[id].take(Some(self.config.round_timeout)) {
+                Ok(inbox) => return inbox,
+                Err(Missed::Failed(why)) => release(&why),
+                Err(Missed::TimedOut) => self.check_wedge(&mut seen),
+            }
+        }
+    }
+
+    /// Node `id` terminated: its closure returned, or panicked with
+    /// `panic`. A panic fails the run.
+    fn finish(&self, id: NodeId, panic: Option<&str>) {
+        let mut state = self.lock();
+        if state.error.is_some() {
+            return;
+        }
+        if let Some(msg) = panic {
+            self.fail(state, format!("node {id} panicked: {msg}"));
+            return;
+        }
+        state.active[id] = false;
+        state.active_count -= 1;
+        self.arrive(state);
+    }
+
+    /// Counts one arrival and returns the run's arrival count. When it
+    /// completes the round, routes it and delivers the inboxes (after
+    /// releasing the lock, so woken nodes never queue behind it).
+    fn arrive(&self, mut state: MutexGuard<'_, RoundState>) -> u64 {
+        state.arrivals += 1;
+        state.outstanding -= 1;
+        let arrivals = state.arrivals;
+        if state.outstanding > 0 || state.active_count == 0 {
+            return arrivals;
+        }
+        let submissions = state.submissions.iter_mut().map(Option::take).collect();
+        // A routing panic (a round or virtual-time limit) fails the run
+        // instead of poisoning the lock under the waiting nodes.
+        let routed = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            self.route(&mut state, submissions)
+        }));
+        match routed {
+            Ok(inboxes) => {
+                state.outstanding = state.active_count;
+                let deliveries: Vec<(NodeId, Inbox)> = inboxes
+                    .into_iter()
+                    .enumerate()
+                    .filter(|&(id, _)| state.active[id])
+                    .collect();
+                drop(state);
+                for (id, inbox) in deliveries {
+                    self.inboxes[id].put(inbox);
+                }
+            }
+            Err(payload) => self.fail(state, panic_message(&*payload).to_owned()),
+        }
+        arrivals
+    }
+
+    /// Routes one completed round: recipients see messages grouped by
+    /// sender id. Then records the round and enforces the run's limits.
+    fn route(&self, state: &mut RoundState, submissions: Vec<Option<Vec<Outgoing>>>) -> Vec<Inbox> {
+        let (n, config, metrics, trace, telemetry) =
+            (self.config.n, &self.config, &self.metrics, &self.trace, &self.telemetry);
+        let RoundState {
+            active,
+            rounds,
+            vtime_now,
+            event_state,
+            ..
+        } = state;
+        *rounds += 1;
+        let rounds = *rounds;
+        if let Some(limit) = config.max_rounds {
+            assert!(rounds <= limit, "round limit {limit} exceeded");
+        }
+        metrics.record_round();
+        // Route: recipients see messages grouped by sender id.
+        // Buffers come from the recycling pool: nodes return them
+        // when they drop the previous round's inbox.
+        let mut inboxes: Vec<Inbox> = (0..n).map(|_| Inbox::pooled(n, &self.pool)).collect();
+        match event_state {
+            // Round barrier: deliveries iterate submissions in
+            // sender-id order and the round counter is the clock.
+            // This arm must stay byte-identical to the pre-policy
+            // simulator (golden digests pin it).
+            None => {
+                *vtime_now = rounds;
+                for inbox in &mut inboxes {
+                    inbox.vtime = rounds;
+                }
+                for sub in submissions.into_iter().flatten() {
+                    for mut out in sub {
+                        out.msg.at = rounds;
+                        if let Some(trace) = trace {
+                            trace.record(trace::TraceEvent {
+                                round: rounds,
+                                from: out.msg.from,
+                                to: out.to,
+                                tag: out.msg.tag,
+                                logical_bits: out.logical_bits,
+                                payload_bytes: out.msg.payload.len() as u64,
+                                vtime: rounds,
+                            });
+                        }
+                        if active[out.to] {
+                            inboxes[out.to].by_sender[out.msg.from].push(out.msg);
+                        }
+                    }
+                }
+            }
+            // Event-driven: sample a latency per message (senders in
+            // id order, send order within a sender, so the jitter
+            // stream is a pure function of the send pattern), clamp
+            // each directed link to FIFO, apply partitions at
+            // dispatch time, then deliver through the event queue in
+            // (time, seq) order.
+            Some(st) => {
+                let mut queue: EventQueue<Outgoing> = EventQueue::new();
+                for (from, sub) in submissions.into_iter().enumerate() {
+                    let Some(sub) = sub else { continue };
+                    let dispatch = st.clocks[from];
+                    for out in sub {
+                        // Sample before the partition check so the
+                        // jitter stream does not depend on the
+                        // partition schedule: with and without a
+                        // partition, the same seed yields the same
+                        // latencies for the surviving messages.
+                        let latency = st
+                            .model
+                            .link
+                            .sample(st.model.same_cluster(from, out.to), &mut st.rng);
+                        let mut base = dispatch;
+                        let mut dropped = false;
+                        for (cut, p) in st.model.partitions.iter().enumerate() {
+                            if p.cuts(dispatch, from, out.to) {
+                                match p.behavior {
+                                    PartitionBehavior::Drop => dropped = true,
+                                    PartitionBehavior::Delay => base = base.max(p.heal),
+                                }
+                                if let Some(tel) = telemetry {
+                                    tel.record_outage_hit(cut, dropped);
+                                }
+                                break;
+                            }
+                        }
+                        if dropped {
+                            // Lost at the cut: no delivery, no trace
+                            // event. The send itself was already
+                            // metered — the bits left the sender.
+                            continue;
+                        }
+                        let link_last = &mut st.link_last[from][out.to];
+                        let at = (base + latency).max(*link_last);
+                        *link_last = at;
+                        queue.schedule(at, out);
+                    }
+                }
+                if let Some(tel) = telemetry {
+                    tel.record_queue_depth(queue.len() as u64);
+                }
+                let mut round_end: Vec<VirtualTime> = st.clocks.clone();
+                while let Some((at, mut out)) = queue.pop() {
+                    out.msg.at = at;
+                    if let Some(tel) = telemetry {
+                        // Delivery delay: sampled latency plus any
+                        // partition hold and FIFO clamping (clocks
+                        // still hold this round's dispatch times).
+                        tel.record_link(
+                            out.msg.from,
+                            out.to,
+                            out.msg.payload.len() as u64,
+                            at - st.clocks[out.msg.from],
+                        );
+                    }
+                    if let Some(trace) = trace {
+                        trace.record(trace::TraceEvent {
+                            round: rounds,
+                            from: out.msg.from,
+                            to: out.to,
+                            tag: out.msg.tag,
+                            logical_bits: out.logical_bits,
+                            payload_bytes: out.msg.payload.len() as u64,
+                            vtime: at,
+                        });
+                    }
+                    if active[out.to] {
+                        round_end[out.to] = round_end[out.to].max(at);
+                        inboxes[out.to].by_sender[out.msg.from].push(out.msg);
+                    }
+                }
+                for (id, inbox) in inboxes.iter_mut().enumerate() {
+                    inbox.vtime = round_end[id];
+                    st.clocks[id] = round_end[id] + st.model.compute_ticks;
+                    *vtime_now = (*vtime_now).max(round_end[id]);
+                }
+            }
+        }
+        if let Some(limit) = config.max_vtime {
+            assert!(
+                *vtime_now <= limit,
+                "virtual time limit {limit} exceeded (virtual time {vtime_now} at round {rounds})"
+            );
+        }
+        inboxes
+    }
+
+    /// A parked node's wait timed out. Declares the run wedged unless
+    /// some node arrived since `seen` (then waits on, from the new count).
+    fn check_wedge(&self, seen: &mut u64) {
+        let state = self.lock();
+        if state.error.is_some() {
+            // Every handoff is failed: the caller's next take reports it.
+            return;
+        }
+        if state.arrivals != *seen {
+            *seen = state.arrivals;
+            return;
+        }
+        let missing: Vec<NodeId> = (0..self.config.n)
+            .filter(|&i| state.active[i] && state.submissions[i].is_none())
+            .collect();
+        let why = format!(
+            "simulation wedged in round {}: node(s) {missing:?} never submitted \
+             within {:?} under the {} policy at virtual time {} \
+             ({} of {} active node(s) outstanding)",
+            state.rounds + 1,
+            self.config.round_timeout,
+            self.config.policy.name(),
+            state.vtime_now,
+            state.outstanding,
+            state.active_count,
+        );
+        self.fail(state, why);
+    }
+
+    /// Records the run's first failure and releases every waiting node
+    /// with it.
+    fn fail(&self, mut state: MutexGuard<'_, RoundState>, why: String) {
+        let why: Arc<str> = why.into();
+        state.error = Some(why.clone());
+        drop(state);
+        for inbox in &self.inboxes {
+            inbox.fail(why.clone());
+        }
+    }
 }
 
 /// Result of a completed simulation.
@@ -480,8 +803,9 @@ pub struct SimResult<O> {
 /// # Panics
 ///
 /// Panics if any node logic panics (the panic is propagated with the node
-/// id), if `nodes.len() != config.n`, or if `config.max_rounds` is
-/// exceeded.
+/// id), if `nodes.len() != config.n`, if `config.max_rounds` or
+/// `config.max_vtime` is exceeded, or if the run wedges (see
+/// [`SimConfig::round_timeout`]).
 pub fn run_simulation<O: Send + 'static>(
     config: SimConfig,
     metrics: MetricsSink,
@@ -508,297 +832,108 @@ pub fn run_simulation_traced<O: Send + 'static>(
     assert!(n > 0, "simulation needs at least one node");
     assert_eq!(nodes.len(), n, "one logic closure per node required");
 
-    let (to_coord, coord_rx) = channel::unbounded::<CoordMsg>();
-
-    std::thread::scope(|scope| {
-        let mut node_txs = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for (id, logic) in nodes.into_iter().enumerate() {
-            let (tx, rx) = channel::unbounded::<Inbox>();
-            node_txs.push(tx);
-            let to_coord = to_coord.clone();
-            let metrics = metrics.clone();
-            handles.push(scope.spawn(move || {
-                let mut ctx = NodeCtx {
-                    id,
-                    n,
-                    round: 0,
-                    vtime: 0,
-                    pending: Vec::new(),
-                    to_coord: to_coord.clone(),
-                    from_coord: rx,
-                    metrics,
-                };
-                // Always announce termination, even on panic, so the
-                // coordinator never wedges; the panic is re-raised and
-                // surfaced with the node id at join time.
-                let result =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| logic(&mut ctx)));
-                let _ = to_coord.send(CoordMsg::Finished { from: id });
-                match result {
-                    Ok(out) => out,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }));
-        }
-        drop(to_coord);
-
-        // Coordinator loop (runs on the scope's owning thread).
-        let pool = InboxPool::with_cap(2 * n);
-        let mut active = vec![true; n];
-        let mut active_count = n;
-        let mut rounds: u64 = 0;
-        // The simulation's virtual clock: the latest round-end tick
-        // routed so far. Under the round-barrier policy it tracks the
-        // round counter exactly.
-        let mut vtime_now: VirtualTime = 0;
-        let mut event_state = match &config.policy {
-            SchedulingPolicy::RoundBarrier => None,
-            SchedulingPolicy::EventDriven(model) => {
-                model.topology.validate(n);
-                assert!(model.compute_ticks >= 1, "compute_ticks must be at least 1");
-                for p in &model.partitions {
-                    assert!(
-                        p.start < p.heal,
-                        "partition heals at {} before it starts at {}",
-                        p.heal,
-                        p.start
-                    );
-                    for &node in &p.island {
-                        assert!(node < n, "partition island node {node} out of range (n = {n})");
-                    }
-                }
-                Some(EventState {
-                    clocks: vec![0; n],
-                    link_last: vec![vec![0; n]; n],
-                    rng: StdRng::seed_from_u64(model.seed),
-                    model: model.clone(),
-                })
-            }
-        };
-        // Optional telemetry (attached via `MetricsSink::with_telemetry`):
-        // per-link delivery accounting, partition outage windows, and the
-        // event-queue high-water mark. Purely observational — it adds no
-        // messages and moves no timestamps, so trace digests are
-        // unchanged whether or not a recorder is attached.
-        let telemetry = metrics.telemetry();
-        if let (Some(st), Some(tel)) = (&event_state, &telemetry) {
-            for p in &st.model.partitions {
-                let behavior = match p.behavior {
-                    PartitionBehavior::Drop => "drop",
-                    PartitionBehavior::Delay => "delay",
-                };
-                tel.register_outage(p.start, p.heal, behavior);
-            }
-        }
-        while active_count > 0 {
-            let mut submissions: Vec<Option<Vec<Outgoing>>> = (0..n).map(|_| None).collect();
-            let mut waiting = active_count;
-            while waiting > 0 {
-                let msg = match coord_rx.recv_timeout(config.round_timeout) {
-                    Ok(msg) => msg,
-                    Err(e) => {
-                        let missing: Vec<NodeId> = (0..n)
-                            .filter(|&i| active[i] && submissions[i].is_none())
-                            .collect();
-                        panic!(
-                            "simulation wedged in round {}: node(s) {missing:?} never submitted \
-                             within {:?} under the {} policy at virtual time {vtime_now} \
-                             ({waiting} of {active_count} active node(s) outstanding, \
-                             channel state: {e:?})",
-                            rounds + 1,
-                            config.round_timeout,
-                            config.policy.name(),
-                        );
-                    }
-                };
-                match msg {
-                    CoordMsg::Submit { from, outgoing } => {
-                        assert!(
-                            submissions[from].is_none(),
-                            "node {from} submitted twice in one round"
-                        );
-                        submissions[from] = Some(outgoing);
-                        waiting -= 1;
-                    }
-                    CoordMsg::Finished { from } => {
-                        if active[from] {
-                            active[from] = false;
-                            active_count -= 1;
-                            // A node that had already submitted this round and
-                            // then finished: its submission stays valid.
-                            if submissions[from].is_none() {
-                                waiting -= 1;
-                            }
-                        }
-                    }
-                }
-            }
-            if active_count == 0 && submissions.iter().all(Option::is_none) {
-                break;
-            }
-            rounds += 1;
-            if let Some(limit) = config.max_rounds {
-                assert!(rounds <= limit, "round limit {limit} exceeded");
-            }
-            metrics.record_round();
-            // Route: recipients see messages grouped by sender id.
-            // Buffers come from the recycling pool: nodes return them
-            // when they drop the previous round's inbox.
-            let mut inboxes: Vec<Inbox> = (0..n).map(|_| Inbox::pooled(n, &pool)).collect();
-            match &mut event_state {
-                // Round barrier: deliveries iterate submissions in
-                // sender-id order and the round counter is the clock.
-                // This arm must stay byte-identical to the pre-policy
-                // simulator (golden digests pin it).
-                None => {
-                    vtime_now = rounds;
-                    for inbox in &mut inboxes {
-                        inbox.vtime = rounds;
-                    }
-                    for sub in submissions.into_iter().flatten() {
-                        for mut out in sub {
-                            out.msg.at = rounds;
-                            if let Some(trace) = &trace {
-                                trace.record(trace::TraceEvent {
-                                    round: rounds,
-                                    from: out.msg.from,
-                                    to: out.to,
-                                    tag: out.msg.tag,
-                                    logical_bits: out.logical_bits,
-                                    payload_bytes: out.msg.payload.len() as u64,
-                                    vtime: rounds,
-                                });
-                            }
-                            if active[out.to] {
-                                inboxes[out.to].by_sender[out.msg.from].push(out.msg);
-                            }
-                        }
-                    }
-                }
-                // Event-driven: sample a latency per message (senders in
-                // id order, send order within a sender, so the jitter
-                // stream is a pure function of the send pattern), clamp
-                // each directed link to FIFO, apply partitions at
-                // dispatch time, then deliver through the event queue in
-                // (time, seq) order.
-                Some(st) => {
-                    let mut queue: EventQueue<Outgoing> = EventQueue::new();
-                    for (from, sub) in submissions.into_iter().enumerate() {
-                        let Some(sub) = sub else { continue };
-                        let dispatch = st.clocks[from];
-                        for out in sub {
-                            // Sample before the partition check so the
-                            // jitter stream does not depend on the
-                            // partition schedule: with and without a
-                            // partition, the same seed yields the same
-                            // latencies for the surviving messages.
-                            let latency = st
-                                .model
-                                .link
-                                .sample(st.model.same_cluster(from, out.to), &mut st.rng);
-                            let mut base = dispatch;
-                            let mut dropped = false;
-                            for (cut, p) in st.model.partitions.iter().enumerate() {
-                                if p.cuts(dispatch, from, out.to) {
-                                    match p.behavior {
-                                        PartitionBehavior::Drop => dropped = true,
-                                        PartitionBehavior::Delay => base = base.max(p.heal),
-                                    }
-                                    if let Some(tel) = &telemetry {
-                                        tel.record_outage_hit(cut, dropped);
-                                    }
-                                    break;
-                                }
-                            }
-                            if dropped {
-                                // Lost at the cut: no delivery, no trace
-                                // event. The send itself was already
-                                // metered — the bits left the sender.
-                                continue;
-                            }
-                            let link_last = &mut st.link_last[from][out.to];
-                            let at = (base + latency).max(*link_last);
-                            *link_last = at;
-                            queue.schedule(at, out);
-                        }
-                    }
-                    if let Some(tel) = &telemetry {
-                        tel.record_queue_depth(queue.len() as u64);
-                    }
-                    let mut round_end: Vec<VirtualTime> = st.clocks.clone();
-                    while let Some((at, mut out)) = queue.pop() {
-                        out.msg.at = at;
-                        if let Some(tel) = &telemetry {
-                            // Delivery delay: sampled latency plus any
-                            // partition hold and FIFO clamping (clocks
-                            // still hold this round's dispatch times).
-                            tel.record_link(
-                                out.msg.from,
-                                out.to,
-                                out.msg.payload.len() as u64,
-                                at - st.clocks[out.msg.from],
-                            );
-                        }
-                        if let Some(trace) = &trace {
-                            trace.record(trace::TraceEvent {
-                                round: rounds,
-                                from: out.msg.from,
-                                to: out.to,
-                                tag: out.msg.tag,
-                                logical_bits: out.logical_bits,
-                                payload_bytes: out.msg.payload.len() as u64,
-                                vtime: at,
-                            });
-                        }
-                        if active[out.to] {
-                            round_end[out.to] = round_end[out.to].max(at);
-                            inboxes[out.to].by_sender[out.msg.from].push(out.msg);
-                        }
-                    }
-                    for (id, inbox) in inboxes.iter_mut().enumerate() {
-                        inbox.vtime = round_end[id];
-                        st.clocks[id] = round_end[id] + st.model.compute_ticks;
-                        vtime_now = vtime_now.max(round_end[id]);
-                    }
-                }
-            }
-            if let Some(limit) = config.max_vtime {
+    let event_state = match &config.policy {
+        SchedulingPolicy::RoundBarrier => None,
+        SchedulingPolicy::EventDriven(model) => {
+            model.topology.validate(n);
+            assert!(model.compute_ticks >= 1, "compute_ticks must be at least 1");
+            for p in &model.partitions {
                 assert!(
-                    vtime_now <= limit,
-                    "virtual time limit {limit} exceeded (virtual time {vtime_now} at round {rounds})"
+                    p.start < p.heal,
+                    "partition heals at {} before it starts at {}",
+                    p.heal,
+                    p.start
                 );
-            }
-            for (id, inbox) in inboxes.into_iter().enumerate() {
-                if active[id] {
-                    // A send error means the node finished right after
-                    // submitting; it will be deactivated via Finished.
-                    let _ = node_txs[id].send(inbox);
+                for &node in &p.island {
+                    assert!(node < n, "partition island node {node} out of range (n = {n})");
                 }
             }
+            Some(EventState {
+                clocks: vec![0; n],
+                link_last: vec![vec![0; n]; n],
+                rng: StdRng::seed_from_u64(model.seed),
+                model: model.clone(),
+            })
         }
+    };
+    // Optional telemetry (attached via `MetricsSink::with_telemetry`):
+    // per-link delivery accounting, partition outage windows, and the
+    // event-queue high-water mark. Purely observational — it adds no
+    // messages and moves no timestamps, so trace digests are
+    // unchanged whether or not a recorder is attached.
+    let telemetry = metrics.telemetry();
+    if let (Some(st), Some(tel)) = (&event_state, &telemetry) {
+        for p in &st.model.partitions {
+            let behavior = match p.behavior {
+                PartitionBehavior::Drop => "drop",
+                PartitionBehavior::Delay => "delay",
+            };
+            tel.register_outage(p.start, p.heal, behavior);
+        }
+    }
+    let exchange = Arc::new(Exchange {
+        config,
+        metrics: metrics.clone(),
+        trace,
+        telemetry,
+        pool: InboxPool::with_cap(2 * n),
+        state: Mutex::new(RoundState {
+            submissions: (0..n).map(|_| None).collect(),
+            active: vec![true; n],
+            active_count: n,
+            outstanding: n,
+            arrivals: 0,
+            rounds: 0,
+            vtime_now: 0,
+            event_state,
+            error: None,
+        }),
+        inboxes: (0..n).map(|_| Handoff::default()).collect(),
+    });
 
-        let outputs: Vec<O> = handles
+    let results: Vec<std::thread::Result<O>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = nodes
             .into_iter()
             .enumerate()
-            .map(|(id, h)| match h.join() {
-                Ok(o) => o,
-                Err(e) => {
-                    let msg = e
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| e.downcast_ref::<&str>().copied())
-                        .unwrap_or("<non-string panic>");
-                    panic!("node {id} panicked: {msg}");
-                }
+            .map(|(id, logic)| {
+                let exchange = exchange.clone();
+                let metrics = metrics.clone();
+                scope.spawn(move || {
+                    let mut ctx = NodeCtx {
+                        id,
+                        n,
+                        round: 0,
+                        vtime: 0,
+                        pending: Vec::new(),
+                        link: Link::Node(exchange.clone()),
+                        metrics,
+                    };
+                    // Always arrive as finished, even on panic, so a
+                    // round never waits on a node that is gone; a panic
+                    // fails the run with the node id and its message.
+                    let result =
+                        std::panic::catch_unwind(AssertUnwindSafe(|| logic(&mut ctx)));
+                    exchange.finish(id, result.as_ref().err().map(|p| panic_message(&**p)));
+                    result.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                })
             })
             .collect();
-        SimResult {
-            outputs,
-            rounds,
-            vtime: vtime_now,
-        }
-    })
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+
+    let state = exchange.lock();
+    if let Some(why) = state.error.clone() {
+        drop(state);
+        panic!("{why}");
+    }
+    SimResult {
+        outputs: results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect(),
+        rounds: state.rounds,
+        vtime: state.vtime_now,
+    }
 }
 
 #[cfg(test)]
@@ -1120,6 +1255,118 @@ mod tests {
         });
         assert_eq!(res.rounds, 5);
         assert_eq!(metrics.snapshot().rounds(), 5);
+    }
+
+    // --- the round exchange: arrivals, routing, release ---
+
+    /// The exchange a top-level node's rounds complete at.
+    fn exchange(ctx: &NodeCtx) -> Arc<Exchange> {
+        match &ctx.link {
+            Link::Node(exchange) => exchange.clone(),
+            Link::Lane(_) => unreachable!("a top-level node"),
+        }
+    }
+
+    /// Yields until `ids` are all parked on their inbox handoffs.
+    fn wait_parked(exchange: &Exchange, ids: &[NodeId]) {
+        while !ids.iter().all(|&id| exchange.inboxes[id].is_parked()) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// The panic message of a failed run.
+    fn run_failure<O: Send + 'static>(cfg: SimConfig, logics: Vec<NodeLogic<O>>) -> String {
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_simulation(cfg, MetricsSink::new(), logics)
+        }))
+        .err()
+        .expect("the run fails");
+        panic_message(&*err).to_owned()
+    }
+
+    #[test]
+    fn a_finishing_node_can_complete_and_route_the_round() {
+        // Nodes 0 and 1 exchange one message each and park; node 2 waits
+        // for both to park and then returns, so its termination is the
+        // round's last arrival and routes it.
+        let (res, metrics) = run(3, |id| {
+            Box::new(move |ctx: &mut NodeCtx| {
+                if id == 2 {
+                    wait_parked(&exchange(ctx), &[0, 1]);
+                    return None;
+                }
+                ctx.send(1 - id, "x", vec![id as u8], 8);
+                let mut inbox = ctx.end_round();
+                inbox.take(1 - id, "x").map(|b| b[0])
+            })
+        });
+        assert_eq!(res.outputs, vec![Some(1), Some(0), None]);
+        assert_eq!(res.rounds, 1);
+        assert_eq!(metrics.snapshot().rounds(), 1);
+    }
+
+    #[test]
+    fn a_node_panic_releases_parked_peers_with_its_message() {
+        // Node 1 panics only once both peers are parked in round 1.
+        let logics: Vec<NodeLogic<()>> = (0..3)
+            .map(|id| {
+                Box::new(move |ctx: &mut NodeCtx| {
+                    if id == 1 {
+                        wait_parked(&exchange(ctx), &[0, 2]);
+                        panic!("boom while peers wait");
+                    }
+                    loop {
+                        ctx.end_round();
+                    }
+                }) as NodeLogic<()>
+            })
+            .collect();
+        // A generous wedge guard: only the release can end the run fast.
+        let cfg = SimConfig::new(3).with_round_timeout(Duration::from_secs(600));
+        assert_eq!(run_failure(cfg, logics), "node 1 panicked: boom while peers wait");
+    }
+
+    #[test]
+    fn a_round_limit_hit_releases_every_parked_node() {
+        // Nodes 0 and 1 run until released; node 2 makes the last
+        // arrival of round 3 only once both peers are parked there, so
+        // the limit fires on node 2's thread with the peers waiting.
+        let (released_tx, released_rx) = crossbeam::channel::unbounded::<(NodeId, String)>();
+        let logics: Vec<NodeLogic<()>> = (0..3)
+            .map(|id| {
+                let released_tx = released_tx.clone();
+                Box::new(move |ctx: &mut NodeCtx| {
+                    if id == 2 {
+                        ctx.end_round();
+                        ctx.end_round();
+                        wait_parked(&exchange(ctx), &[0, 1]);
+                        ctx.end_round();
+                        unreachable!("round 3 is over the limit");
+                    }
+                    let caught = std::panic::catch_unwind(AssertUnwindSafe(|| loop {
+                        ctx.end_round();
+                    }));
+                    let err = caught.expect_err("released by the failed run");
+                    let _ = released_tx.send((id, panic_message(&*err).to_owned()));
+                    std::panic::resume_unwind(err);
+                }) as NodeLogic<()>
+            })
+            .collect();
+        drop(released_tx);
+        let cfg = SimConfig {
+            max_rounds: Some(2),
+            ..SimConfig::new(3).with_round_timeout(Duration::from_secs(600))
+        };
+        assert_eq!(run_failure(cfg, logics), "round limit 2 exceeded");
+        let mut released: Vec<(NodeId, String)> = released_rx.try_iter().collect();
+        released.sort();
+        assert_eq!(
+            released,
+            vec![
+                (0, "round limit 2 exceeded".to_owned()),
+                (1, "round limit 2 exceeded".to_owned())
+            ]
+        );
     }
 
     // --- event-driven scheduling ---

@@ -273,7 +273,7 @@ impl NetModel {
     }
 }
 
-/// How the coordinator schedules rounds.
+/// How the round exchange schedules rounds.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum SchedulingPolicy {
     /// The classic lockstep barrier: all messages sent in round `r` are

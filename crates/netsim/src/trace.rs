@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::{NodeId, VirtualTime};
 
-/// One delivered message, as observed by the coordinator.
+/// One delivered message, as observed by round routing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Round in which the message was sent (1-based, matching the

@@ -1,12 +1,13 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
-//! Only `crossbeam::channel` is used by this workspace (the network
-//! simulator's coordinator/node plumbing), so only that module is
-//! provided, backed by `std::sync::mpsc`. The semantics the simulator
-//! needs — unbounded FIFO channels, clonable senders, blocking `recv`
-//! and `recv_timeout` — are identical; std's channel merely lacks a
-//! `Sync` receiver, which the simulator never requires (each receiver
-//! lives on exactly one thread).
+//! Only `crossbeam::channel` is used by this workspace — by the network
+//! simulator's lane worker pool (`mvbc_netsim::lanepool`: job queues and
+//! result channels) and by its tests — so only that module is provided,
+//! backed by `std::sync::mpsc`. The semantics the pool needs — unbounded
+//! FIFO channels, clonable senders, blocking `recv` — are identical;
+//! std's channel merely lacks a `Sync` receiver, which the pool never
+//! requires (each receiver lives on exactly one thread). Rounds and lane
+//! hops do not use channels.
 
 #![forbid(unsafe_code)]
 

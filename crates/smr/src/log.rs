@@ -94,8 +94,9 @@ pub struct SmrConfig {
     /// Explicit broadcast generation size in bytes (`None` = sized for
     /// the *aggregate* log payload; see [`SmrConfig::resolved_gen_bytes`]).
     pub gen_bytes: Option<usize>,
-    /// Coordinator wedge-detection timeout for the underlying simulation
-    /// (`None` = the simulator default). Long logs on slow machines can
+    /// Wedge-detection timeout for the underlying simulation: how long a
+    /// parked node waits, with no node arriving at the round exchange,
+    /// before it fails the run (`None` = the simulator default). Long logs on slow machines can
     /// raise it. This is a *wall-clock* guard against protocol bugs
     /// wedging the simulator; it is unrelated to the virtual clock. To
     /// bound the log in *virtual* time — e.g. a latency SLA under an
